@@ -38,9 +38,21 @@ from .._util import int_rank
 from ..core import cumulative as _cum
 from ..core.footprint import footprint_size
 from ..core.tiles import RectangularTile
+from ..exceptions import SingularMatrixError
 from ..lattice.snf import solve_integer
+from ..lattice.unimodular import (
+    maximal_independent_columns,
+    select_unimodular_columns,
+)
 
-__all__ = ["Violation", "Tally", "CaseArtifacts", "run_invariants"]
+__all__ = [
+    "Violation",
+    "Tally",
+    "CaseArtifacts",
+    "run_invariants",
+    "theorem2_class_reference",
+    "theorem2_reference",
+]
 
 
 @dataclass(frozen=True)
@@ -287,6 +299,50 @@ def check_integerisation(art: CaseArtifacts, *, round_det_tol: float) -> None:
             )
 
 
+# ----------------------------------------------------------------------
+# Reference Theorem-2 objective: the optimizer's kernel caches each
+# class's column reduction and batches its determinants; the oracle
+# recomputes both from scratch so it never grades the kernel with itself.
+
+
+def theorem2_class_reference(uiset, l_matrix) -> float:
+    """``|det LG′| + Σ_i |det LG′_{i→â}|`` for one class, plainly.
+
+    The reduction is redone on every call: drop the zero columns of
+    ``G`` (Example 1), keep a unimodular column selection or else a
+    maximal independent one (Section 3.4.1), and take the spread of the
+    kept offset columns.  Each determinant is its own ``np.linalg.det``
+    call, summed left to right — the same floating-point operations as
+    the batched kernel, so the two agree bit for bit.
+    """
+    nonzero = [c for c in range(uiset.g.shape[1]) if uiset.g[:, c].any()]
+    g_nz = uiset.g[:, nonzero]
+    cols = select_unimodular_columns(g_nz)
+    if cols is None:
+        cols = maximal_independent_columns(g_nz)
+    keep = [nonzero[c] for c in cols]
+    g = uiset.g[:, keep]
+    offsets = uiset.offsets[:, keep]
+    lg = np.asarray(l_matrix, dtype=float) @ g
+    if lg.shape[0] != lg.shape[1]:
+        raise SingularMatrixError("Theorem 2 needs full-row-rank G after reduction")
+    a_hat = (offsets.max(axis=0) - offsets.min(axis=0)).astype(float)
+    total = abs(np.linalg.det(lg))
+    for i in range(lg.shape[0]):
+        m = lg.copy()
+        m[i, :] = a_hat
+        total += abs(np.linalg.det(m))
+    return float(total)
+
+
+def theorem2_reference(uisets, l_matrix) -> float:
+    """The Theorem-2 objective over all classes, class by class."""
+    total = 0.0
+    for s in uisets:
+        total += theorem2_class_reference(s, l_matrix)
+    return total
+
+
 def check_portfolio(art: CaseArtifacts, *, eps: float = 1e-6) -> None:
     """The optimizer portfolio never loses to its members or lies.
 
@@ -295,16 +351,14 @@ def check_portfolio(art: CaseArtifacts, *, eps: float = 1e-6) -> None:
       member, so a worse member must not surface as the result);
     * ``pepiped-objective-consistent`` — every claimed objective
       (portfolio and members-alone) matches the Theorem-2 objective
-      recomputed from the returned ``L`` matrix (catches a member that
-      reports a better score than its matrix achieves — the ``anneal``
-      fault);
+      recomputed by :func:`theorem2_reference` from the returned ``L``
+      matrix (catches a member that reports a better score than its
+      matrix achieves — the ``anneal`` fault);
     * ``portfolio-never-loses`` — the portfolio objective is no worse
       than SLSQP-alone, anneal-alone, or the rectangular baseline
       (member runs share the portfolio's seeds, so each alone-run is a
       candidate subset and the merge must dominate it).
     """
-    from ..core.optimize import _theorem2_objective
-
     pe = art.pepiped
     if pe is None:
         return
@@ -325,10 +379,7 @@ def check_portfolio(art: CaseArtifacts, *, eps: float = 1e-6) -> None:
         if res is None:
             continue
         art.tally.hit("pepiped-objective-consistent")
-        l = res.l_matrix.shape[0]
-        recomputed = _theorem2_objective(
-            art.uisets, np.asarray(res.l_matrix, dtype=float).ravel(), l
-        )
+        recomputed = theorem2_reference(art.uisets, res.l_matrix)
         denom = max(abs(recomputed), 1.0)
         if abs(res.objective - recomputed) > eps * denom:
             art.fail(

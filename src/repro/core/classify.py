@@ -77,6 +77,29 @@ def uniformly_intersecting(r: AffineRef, s: AffineRef) -> bool:
     return solve_integer(r.g, s.offset - r.offset) is not None
 
 
+class _cached:
+    """``functools.cached_property`` without its lock.
+
+    Before Python 3.12 that lock is shared by every instance; a process
+    pool forked while a server thread holds it leaves the child blocked
+    for good.  Two threads racing here compute equal values, so the last
+    write winning is harmless.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class UISet:
     """A maximal class of uniformly intersecting references.
@@ -127,6 +150,43 @@ class UISet:
         """A canonical member (minimal offset lexicographically)."""
         order = np.lexsort(self.offsets.T[::-1])
         return self.refs[int(order[0])]
+
+    @_cached
+    def reduced(self) -> tuple[np.ndarray, np.ndarray]:
+        """Column-reduced class: shared ``G′`` plus per-member offsets.
+
+        Zero columns are dropped first (Example 1), then a maximal
+        independent column set is kept (Section 3.4.1).  Within a
+        uniformly intersecting class this preserves footprint sizes and
+        overlaps exactly (see :meth:`AffineRef.reduce_columns`).
+
+        The exact-integer column selection is the costly part of every
+        footprint evaluation, so it runs once per class; both arrays are
+        read-only because every caller shares them.
+        """
+        base = self.base_ref().drop_zero_columns()
+        cols_nonzero = [c for c in range(self.g.shape[1]) if self.g[:, c].any()]
+        keep = [cols_nonzero[c] for c in base.reduced_columns()]
+        g = self.g[:, keep]
+        offsets = self.offsets[:, keep]
+        g.setflags(write=False)
+        offsets.setflags(write=False)
+        return g, offsets
+
+    @_cached
+    def reduced_spread(self) -> np.ndarray:
+        """The spread ``â`` of the reduced offsets, cached and read-only."""
+        a_hat = spread_vector(self.reduced[1])
+        a_hat.setflags(write=False)
+        return a_hat
+
+    def __getstate__(self):
+        # Pickles carry the accesses only; the receiver re-derives the
+        # cached reduction (unpickled arrays would come back writeable).
+        state = dict(self.__dict__)
+        state.pop("reduced", None)
+        state.pop("reduced_spread", None)
+        return state
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "UISet{" + ", ".join(repr(a.ref) for a in self.accesses) + "}"

@@ -44,23 +44,6 @@ __all__ = [
 ]
 
 
-def _reduced(uiset: UISet):
-    """Column-reduce the class: shared G′ plus per-member reduced offsets.
-
-    Zero columns are dropped first (Example 1), then a maximal independent
-    column set is kept (Section 3.4.1).  Within a uniformly intersecting
-    class this preserves footprint sizes and overlaps exactly (see
-    :meth:`AffineRef.reduce_columns`).
-    """
-    base = uiset.base_ref().drop_zero_columns()
-    cols_nonzero = [c for c in range(uiset.g.shape[1]) if uiset.g[:, c].any()]
-    sub = base.reduced_columns()
-    keep = [cols_nonzero[c] for c in sub]
-    g = uiset.g[:, keep]
-    offsets = uiset.offsets[:, keep]
-    return g, offsets
-
-
 def spread_coefficients(uiset: UISet) -> np.ndarray:
     """The ``u`` of Theorems 3-4: solve ``â = Σ u_i g_i`` (absolute values).
 
@@ -70,13 +53,12 @@ def spread_coefficients(uiset: UISet) -> np.ndarray:
     means the extreme offsets do not lie on the footprint lattice and the
     dilation is fractional).
     """
-    g, offsets = _reduced(uiset)
+    g = uiset.reduced[0]
     if int_rank(g) < g.shape[0]:
         raise SingularMatrixError(
             "spread coefficients require independent rows of G (Theorem 4)"
         )
-    a_hat = offsets.max(axis=0) - offsets.min(axis=0)
-    sol = exact_solve(g, a_hat)
+    sol = exact_solve(g, uiset.reduced_spread)
     if sol is None:  # pragma: no cover - â lies in the row space by construction
         raise SingularMatrixError("spread vector not in the row space of G")
     return np.abs(np.array([float(c) for c in sol]))
@@ -89,18 +71,25 @@ def cumulative_footprint_size(uiset: UISet, tile: ParallelepipedTile) -> float:
     vector ``â``.  Requires square ``L·G′`` (full-row-rank reference after
     reduction).  Continuous estimate — compare with the exact path in
     tests and benchmarks.
+
+    The ``d+1`` determinants go through one batched ``np.linalg.det``
+    call on a ``(d+1, d, d)`` stack and are summed in the order above, so
+    the value is bit-identical to taking them one by one.
     """
-    g, offsets = _reduced(uiset)
+    g = uiset.reduced[0]
     lg = np.asarray(tile.l_matrix, dtype=float) @ g
-    if lg.shape[0] != lg.shape[1]:
+    d = lg.shape[0]
+    if d != lg.shape[1]:
         raise SingularMatrixError("Theorem 2 needs full-row-rank G after reduction")
-    a_hat = (offsets.max(axis=0) - offsets.min(axis=0)).astype(float)
-    total = abs(np.linalg.det(lg))
-    for i in range(lg.shape[0]):
-        m = lg.copy()
-        m[i, :] = a_hat
-        total += abs(np.linalg.det(m))
-    return float(total)
+    a_hat = uiset.reduced_spread
+    stack = np.empty((d + 1, d, d))
+    stack[:] = lg
+    for i in range(d):
+        stack[i + 1, i] = a_hat
+    total = 0.0
+    for det in np.abs(np.linalg.det(stack)).tolist():
+        total += det
+    return total
 
 
 def cumulative_footprint_rect(uiset: UISet, tile: RectangularTile) -> float:
@@ -133,7 +122,7 @@ def cumulative_footprint_size_exact(
     tile — the fair convention when comparing tile shapes of equal
     volume).  Rectangular tiles always use their half-open ``sides``.
     """
-    g, offsets = _reduced(uiset)
+    g, offsets = uiset.reduced
     if isinstance(tile, RectangularTile) and int_rank(g) == g.shape[0]:
         bl = BoundedLattice(g, tile.extents)
         base = offsets[0]

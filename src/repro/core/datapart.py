@@ -55,19 +55,13 @@ def _as_uisets(accesses_or_sets) -> list[UISet]:
     return partition_references(items)
 
 
-def _reduced_offsets(uiset: UISet):
-    from .cumulative import _reduced
-
-    return _reduced(uiset)
-
-
 def data_spread_coefficients(uiset: UISet) -> np.ndarray:
     """``u⁺`` with ``a⁺ = u⁺·G′`` (absolute values), cf. Theorem 4.
 
     Same mechanics as :func:`repro.core.cumulative.spread_coefficients`
     but fed the cumulative spread instead of the max−min spread.
     """
-    g, offsets = _reduced_offsets(uiset)
+    g, offsets = uiset.reduced
     if int_rank(g) < g.shape[0]:
         raise SingularMatrixError(
             "data spread coefficients require independent rows of G"

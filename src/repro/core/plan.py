@@ -46,7 +46,7 @@ from ..exceptions import SingularMatrixError
 from ..lattice.points import _CacheMetrics
 from ..lattice.snf import integer_kernel_basis, solve_integer
 from ..obs.tracing import span as _span
-from .cumulative import _reduced, spread_coefficients
+from .cumulative import spread_coefficients
 from .loopnest import IterationSpace
 from .optimize import RectOptResult, _candidate_tile, _continuous_lagrange, factorizations
 from .structure import canonical_class_order, structure_key
@@ -194,7 +194,7 @@ def solve_plan(uisets, depth: int) -> dict:
             # by enumeration.  Dependent nonzero rows (e.g. a 1-D array
             # folding two loop dimensions) have no closed form here —
             # the paper itself resorts to table lookup for those.
-            g_red, off_red = _reduced(s)
+            g_red, off_red = s.reduced
             nz = [i for i in range(g_red.shape[0]) if np.any(g_red[i, :] != 0)]
             independent = not nz or int_rank(g_red[nz, :]) == len(nz)
             if not independent and g_red.shape[1] == 1:
