@@ -116,8 +116,11 @@ def render_dashboard(
             f" ({plan_rate:.0f}% hit, {plan.get('fallbacks', 0)} fallbacks)"
         )
     lines.append(caches_line)
-    error_burn = _gauge(metrics, "serve.slo.error_burn")
-    latency_burn = _gauge(metrics, "serve.slo.latency_burn")
+    # A router reports its own burn (route.slo.*) against its own
+    # targets; the replicas' serve.slo.* gauges ride in the same dump.
+    slo_prefix = "route" if _gauge(metrics, "route.slo.error_burn") is not None else "serve"
+    error_burn = _gauge(metrics, f"{slo_prefix}.slo.error_burn")
+    latency_burn = _gauge(metrics, f"{slo_prefix}.slo.latency_burn")
     if error_burn is not None or latency_burn is not None:
         slo = dump.get("slo", {})
         lines.append(

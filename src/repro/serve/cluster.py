@@ -46,35 +46,15 @@ import argparse
 import asyncio
 import hashlib
 import json
-import signal
 import sys
 import time
-import uuid
 
 from .. import __version__
-from ..obs import (
-    FlightRecorder,
-    configure_logging,
-    get_logger,
-    get_registry,
-    prometheus_text_from_snapshot,
-)
-from ..obs.export import PROMETHEUS_CONTENT_TYPE
+from ..obs import configure_logging, get_logger, prometheus_text_from_snapshot
 from .client import AsyncConnectionPool, ServeError
-from .protocol import (
-    ProtocolError,
-    error_payload,
-    validate_partition_request,
-    validate_request_id,
-)
-from .server import (
-    EmbeddedServer,
-    _encode_response,
-    _HttpError,
-    _read_request,
-    _STATUS_TEXT,
-    _TextPayload,
-)
+from .http import HttpService, TextPayload, run_service
+from .protocol import ProtocolError, validate_partition_request
+from .server import EmbeddedServer
 
 __all__ = [
     "RouterConfig",
@@ -85,10 +65,6 @@ __all__ = [
 ]
 
 logger = get_logger("serve.cluster")
-
-_POST_ROUTES = ("/v1/partition", "/v1/simulate")
-_GET_ROUTES = ("/healthz", "/metrics", "/debug/requests", "/debug/inflight")
-_DEBUG_REQUEST_PREFIX = "/debug/requests/"
 
 #: Response headers forwarded from replica to client verbatim.
 _PASSTHROUGH_HEADERS = ("x-repro-cache", "retry-after", "content-type")
@@ -205,44 +181,24 @@ _FORWARD_ERRORS = (
 )
 
 
-class RouterServer:
-    """The front tier: owns the listener, replica pools, health loop."""
+class RouterServer(HttpService):
+    """The front tier: owns the replica pools and the health loop."""
+
+    prefix = "route"
 
     def __init__(self, config: RouterConfig):
-        self.config = config
-        self.port: int | None = None
-        self.started_at: float | None = None
-        self._server: asyncio.base_events.Server | None = None
+        super().__init__(config)
         self._replicas: dict[str, Replica] = {
             address: Replica(address, host, port, pool_size=config.pool_size)
             for address, host, port in config.replicas
         }
-        self._metrics = get_registry()
-        self._flight = FlightRecorder(max(config.flight_capacity, 1))
-        self._inflight = 0
-        self._requests_served = 0
-        self._shutdown_event: asyncio.Event | None = None
-        self._draining = False
-        self._health_task: asyncio.Task | None = None
 
-    # -- lifecycle -------------------------------------------------------
     async def start(self) -> None:
         """Probe the fleet once, bind the listener, start health probes."""
         await self._probe_all()
-        self._shutdown_event = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.config.host,
-            self.config.port,
-            limit=65536,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self.started_at = time.monotonic()
-        self._health_task = asyncio.create_task(self._health_loop())
+        await self._listen()
+        self._tasks.append(asyncio.create_task(self._health_loop()))
         self._refresh_fleet_gauges()
-        if self.config.port_file:
-            with open(self.config.port_file, "w", encoding="utf-8") as fh:
-                fh.write(f"{self.port}\n")
         logger.info(
             "routing on %s:%d across %d replica(s): %s",
             self.config.host,
@@ -251,32 +207,9 @@ class RouterServer:
             ", ".join(self._replicas),
         )
 
-    def signal_shutdown(self) -> None:
-        if self._shutdown_event is not None:
-            self._shutdown_event.set()
-
-    async def serve_until_shutdown(self) -> None:
-        assert self._shutdown_event is not None, "start() first"
-        await self._shutdown_event.wait()
-        await self.shutdown()
-
-    async def shutdown(self) -> None:
-        if self._server is None:
-            return
-        self._draining = True
-        if self._health_task is not None:
-            self._health_task.cancel()
-            try:
-                await self._health_task
-            except asyncio.CancelledError:
-                pass
-            self._health_task = None
-        self._server.close()
-        await self._server.wait_closed()
-        self._server = None
+    async def _drain(self) -> None:
         for replica in self._replicas.values():
             await replica.pool.close()
-        logger.info("router drained; %d requests served", self._requests_served)
 
     # -- health tracking -------------------------------------------------
     async def _health_loop(self) -> None:
@@ -351,150 +284,23 @@ class RouterServer:
             sum(1 for r in self._replicas.values() if r.routable)
         )
 
-    # -- connection handling ---------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    # -- forwarding ------------------------------------------------------
+    async def _post(self, path: str, body: bytes, request_id: str):
+        self._admitted += 1
         try:
-            while True:
-                try:
-                    parsed = await asyncio.wait_for(_read_request(reader), timeout=60.0)
-                except asyncio.TimeoutError:
-                    break
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                except _HttpError as e:
-                    writer.write(
-                        _encode_response(
-                            e.status,
-                            error_payload("invalid-request", str(e)),
-                            keep_alive=False,
-                        )
-                    )
-                    await writer.drain()
-                    break
-                if parsed is None:
-                    break
-                method, path, headers, body = parsed
-                keep_alive = headers.get("connection", "keep-alive").lower() != "close"
-                response = await self._route(method, path, headers, body)
-                writer.write(self._encode(response, keep_alive=keep_alive))
-                await writer.drain()
-                self._requests_served += 1
-                if not keep_alive:
-                    break
-        except ConnectionError:
-            pass
+            return await self._forward(path, body, request_id)
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:  # pragma: no cover
-                pass
+            self._admitted -= 1
 
-    @staticmethod
-    def _encode(response, *, keep_alive: bool) -> bytes:
-        status, payload, extra = response
-        if isinstance(payload, (bytes, bytearray)):
-            content_type = extra.pop("Content-Type", "application/json")
-            lines = [
-                f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
-                f"Content-Type: {content_type}",
-                f"Content-Length: {len(payload)}",
-                f"Server: repro-route/{__version__}",
-                f"Connection: {'keep-alive' if keep_alive else 'close'}",
-            ]
-            for name, value in extra.items():
-                lines.append(f"{name}: {value}")
-            return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + bytes(payload)
-        return _encode_response(status, payload, keep_alive=keep_alive, extra_headers=extra)
-
-    # -- routing ---------------------------------------------------------
-    async def _route(self, method: str, path: str, headers: dict[str, str], body: bytes):
-        """Dispatch one request; returns ``(status, payload, extra_headers)``.
-
-        ``payload`` is a dict (router-generated JSON), a
-        :class:`_TextPayload`, or raw ``bytes`` forwarded verbatim from
-        a replica.
-        """
-        if path.startswith(_DEBUG_REQUEST_PREFIX):
-            endpoint = "/debug/requests/<id>"
-        else:
-            endpoint = path if path in _POST_ROUTES + _GET_ROUTES else "other"
-        self._metrics.counter("route.requests", endpoint=endpoint).inc()
-        t0 = time.perf_counter()
-        extra: dict[str, str] = {}
-        record = None
-        replica_used = None
-        error_code = None
-        try:
-            request_id = validate_request_id(headers.get("x-repro-request-id"))
-            if request_id is None:
-                request_id = uuid.uuid4().hex[:16]
-            extra["X-Repro-Request-Id"] = request_id
-            if path in _POST_ROUTES:
-                if method != "POST":
-                    raise ProtocolError(
-                        f"{path} only supports POST", code="method-not-allowed", status=405
-                    )
-                record = self._flight.begin(request_id, endpoint)
-                self._inflight += 1
-                try:
-                    status, payload, extra_f, replica_used, route_span = (
-                        await self._forward_compute(path, body, request_id)
-                    )
-                finally:
-                    self._inflight -= 1
-                extra.update(extra_f)
-            elif path in _GET_ROUTES or endpoint == "/debug/requests/<id>":
-                if method != "GET":
-                    raise ProtocolError(
-                        f"{path} only supports GET", code="method-not-allowed", status=405
-                    )
-                status, payload = 200, await self._handle_get(path, headers)
-                route_span = None
-            else:
-                raise ProtocolError(
-                    f"no such endpoint {path!r}", code="not-found", status=404
-                )
-        except ProtocolError as e:
-            status, payload, error_code = e.status, e.to_payload(), e.code
-            route_span = None
-            if e.status == 429:
-                extra.setdefault("Retry-After", "1")
-        except Exception as e:  # pragma: no cover - route safety net
-            logger.exception("unhandled router error serving %s %s", method, path)
-            status, error_code = 500, "internal-error"
-            payload = error_payload("internal-error", f"{type(e).__name__}: {e}")
-            route_span = None
-        total_ms = (time.perf_counter() - t0) * 1000.0
-        if record is not None:
-            self._finish_flight(
-                record,
-                status=status,
-                cache=extra.get("X-Repro-Cache"),
-                total_ms=total_ms,
-                error_code=error_code,
-                replica=replica_used,
-                route_span=route_span,
-                endpoint=endpoint,
-            )
-        self._metrics.counter(
-            "route.responses", endpoint=endpoint, status=str(status)
-        ).inc()
-        self._metrics.latency_histogram("route.latency_ms", endpoint=endpoint).observe(
-            total_ms
-        )
-        return status, payload, extra
-
-    async def _forward_compute(self, path: str, body: bytes, request_id: str):
+    async def _forward(self, path: str, body: bytes, request_id: str):
         """Pick the shard, forward the raw request, fail over on error.
 
-        Returns ``(status, raw_body, extra_headers, replica_address,
-        route_span)``.  The request is validated *here* so malformed
-        requests get their 400/422 from the router without burning a
-        replica round trip — and so the shard key is the same canonical
-        key the replica's response cache will use.
+        Returns ``(status, raw_body, extra_headers, meta)`` with the
+        replica address and the ``serve.route`` span in ``meta``.  The
+        request is validated *here* so malformed requests get their
+        400/422 from the router without burning a replica round trip —
+        and so the shard key is the same canonical key the replica's
+        response cache will use.
         """
         if self._draining:
             raise ProtocolError("router is draining", code="shutting-down", status=503)
@@ -560,7 +366,7 @@ class RouterServer:
                 "duration_s": round(forward_ms / 1000.0, 9),
                 "attrs": {"replica": address, "attempts": attempts},
             }
-            return status, rbody, extra, address, route_span
+            return status, rbody, extra, {"replica": address, "route_span": route_span}
         raise ProtocolError(
             f"all {attempts} routable replica(s) failed this request "
             f"(last: {last_error})",
@@ -568,85 +374,28 @@ class RouterServer:
             status=503,
         )
 
-    def _finish_flight(
-        self,
-        record,
-        *,
-        status: int,
-        cache: str | None,
-        total_ms: float,
-        error_code: str | None,
-        replica: str | None,
-        route_span: dict | None,
-        endpoint: str,
-    ) -> None:
-        trace = None
-        if route_span is not None:
-            attrs = {
-                "request_id": record.request_id,
-                "endpoint": endpoint,
-                "status": status,
-                "router": True,
-            }
-            if cache is not None:
-                attrs["cache"] = cache
-            trace = {
-                "name": "request",
-                "duration_s": round(total_ms / 1000.0, 9),
-                "attrs": attrs,
-                "children": [route_span],
-            }
-        self._flight.finish(
-            record,
-            status=status,
-            cache=cache,
-            total_ms=round(total_ms, 3),
-            error_code=error_code,
-            trace=trace,
-            replica=replica,
-        )
+    def _flight_trace(self, record, *, status, cache, meta, total_ms) -> dict | None:
+        """``request`` → ``serve.route``; the replica's trace is grafted on read."""
+        if "route_span" not in meta:
+            return None
+        attrs = {
+            "request_id": record.request_id,
+            "endpoint": record.endpoint,
+            "status": status,
+            "router": True,
+        }
+        if cache is not None:
+            attrs["cache"] = cache
+        return {
+            "name": "request",
+            "duration_s": round(total_ms / 1000.0, 9),
+            "attrs": attrs,
+            "children": [meta["route_span"]],
+        }
 
     # -- GET endpoints ---------------------------------------------------
-    async def _handle_get(self, path: str, headers: dict[str, str]):
-        if path == "/healthz":
-            return self._healthz()
-        if path == "/metrics":
-            accept = headers.get("accept", "")
-            if "text/plain" in accept or "openmetrics" in accept:
-                return _TextPayload(
-                    prometheus_text_from_snapshot(
-                        await self._merged_metric_entries()
-                    ),
-                    content_type=PROMETHEUS_CONTENT_TYPE,
-                )
-            return await self._metrics_dump()
-        if path == "/debug/requests":
-            return {
-                "schema": "repro.serve-debug-requests",
-                "version": 1,
-                "requests": self._flight.recent(50),
-                "slowest": self._flight.slowest(),
-            }
-        if path == "/debug/inflight":
-            return {
-                "schema": "repro.serve-debug-inflight",
-                "version": 1,
-                "admitted": self._inflight,
-                "inflight": self._flight.inflight(),
-            }
-        request_id = path[len(_DEBUG_REQUEST_PREFIX):]
-        return await self._debug_request(request_id)
-
     async def _debug_request(self, request_id: str) -> dict:
-        found = self._flight.get(request_id)
-        if found is None:
-            raise ProtocolError(
-                f"no retained request {request_id!r} (records and traces "
-                "are bounded rings; it may have been evicted)",
-                code="not-found",
-                status=404,
-            )
-        out = dict({"schema": "repro.serve-debug-request", "version": 1}, **found)
+        out = await super()._debug_request(request_id)
         record = out.get("record") or {}
         trace = out.get("trace")
         replica_address = record.get("replica")
@@ -675,10 +424,8 @@ class RouterServer:
             "ready": routable > 0 and not self._draining,
             "router": True,
             "version": __version__,
-            "uptime_s": round(time.monotonic() - self.started_at, 3)
-            if self.started_at is not None
-            else 0.0,
-            "inflight": self._inflight,
+            "uptime_s": self._uptime_s(),
+            "inflight": self._admitted,
             "replicas_total": len(self._replicas),
             "replicas_routable": routable,
             "replicas": [r.to_dict() for r in self._replicas.values()],
@@ -704,7 +451,7 @@ class RouterServer:
         )
         return [(r.address, doc) for r, doc in zip(replicas, docs) if doc]
 
-    async def _merged_metric_entries(self, dumps=None) -> list[dict]:
+    def _merged_metric_entries(self, dumps: list[tuple[str, dict]]) -> list[dict]:
         """Router ``route.*`` entries + replica entries labeled ``replica=``.
 
         The router's registry is filtered to its own ``route.*`` names so
@@ -713,8 +460,6 @@ class RouterServer:
         ``replica="host:port"`` label so same-named series from different
         replicas stay distinct under one TYPE header.
         """
-        if dumps is None:
-            dumps = await self._replica_dumps()
         entries = [
             e for e in self._metrics.snapshot() if e.get("name", "").startswith("route.")
         ]
@@ -727,8 +472,11 @@ class RouterServer:
                 entries.append(entry)
         return entries
 
-    async def _metrics_dump(self) -> dict:
+    async def _metrics_response(self, *, prometheus: bool):
         dumps = await self._replica_dumps()
+        entries = self._merged_metric_entries(dumps)
+        if prometheus:
+            return TextPayload(prometheus_text_from_snapshot(entries))
         caches: dict = {}
         servers = []
         for address, dump in dumps:
@@ -751,15 +499,12 @@ class RouterServer:
             "version": 1,
             "generated_by": f"repro {__version__} (router)",
             "server": server,
-            "metrics": await self._merged_metric_entries(dumps),
+            "metrics": entries,
             "caches": caches,
             "replicas": [
                 dict(self._replicas[a].to_dict(), server=s) for a, s in servers
             ],
-            "slo": {
-                "p99_ms": self.config.slo_p99_ms,
-                "error_rate": self.config.slo_error_rate,
-            },
+            "slo": self._slo_targets(),
         }
 
 
@@ -784,7 +529,7 @@ class EmbeddedRouter(EmbeddedServer):
     """A :class:`RouterServer` on a background thread (tests, embedding)."""
 
     def __init__(self, config: RouterConfig):
-        super().__init__(server=RouterServer(config))
+        super().__init__(RouterServer(config))
 
 
 def build_route_parser() -> argparse.ArgumentParser:
@@ -856,27 +601,8 @@ def route_main(argv: list[str] | None = None, *, out=None) -> int:
     except ValueError as e:
         parser.error(str(e))
 
-    async def run() -> None:
-        router = RouterServer(config)
-        await router.start()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, router.signal_shutdown)
-            except NotImplementedError:  # pragma: no cover - non-POSIX
-                pass
-        print(
-            f"route: listening on http://{config.host}:{router.port} "
-            f"across {len(config.replicas)} replica(s)",
-            file=out,
-            flush=True,
-        )
-        await router.serve_until_shutdown()
-        print("route: drained, bye", file=out, flush=True)
-
-    try:
-        asyncio.run(run())
-    except OSError as e:
-        print(f"error: cannot listen on {config.host}:{config.port}: {e}", file=out)
-        return 1
-    return 0
+    return run_service(
+        RouterServer(config),
+        detail=f"across {len(config.replicas)} replica(s)",
+        out=out,
+    )

@@ -50,10 +50,9 @@ Production semantics, in the order a request meets them:
    work finish (bounded by ``--drain-s``), flush the warm caches to
    ``--cache-dir``, then exit.
 
-The HTTP implementation is a deliberately minimal HTTP/1.1 subset over
-``asyncio`` streams (keep-alive, ``Content-Length`` framing only) — the
-stdlib has no asyncio HTTP server and this service needs exactly this
-much.
+The HTTP shell — connection loop, request ids, method checks, the
+``/debug`` endpoints and SLO gauges — is
+:class:`~repro.serve.http.HttpService`, shared with the router.
 """
 
 from __future__ import annotations
@@ -62,41 +61,21 @@ import argparse
 import asyncio
 import json
 import os
-import signal
 import sys
 import threading
-import time
-import uuid
 from collections import OrderedDict
 from dataclasses import dataclass
 
 from .. import __version__
 from ..lattice import analytic_cache_stats
-from ..obs import (
-    FlightRecorder,
-    configure_logging,
-    get_logger,
-    get_registry,
-    prometheus_text,
-    stitch_trace,
-)
-from ..obs.export import PROMETHEUS_CONTENT_TYPE
+from ..obs import configure_logging, get_logger, prometheus_text, stitch_trace
 from .batching import MicroBatcher
-from .protocol import (
-    MAX_BODY_BYTES,
-    ProtocolError,
-    error_payload,
-    validate_partition_request,
-    validate_request_id,
-)
+from .http import HttpService, TextPayload, run_service
+from .protocol import ProtocolError, validate_partition_request
 
 __all__ = ["ServeConfig", "PartitionServer", "EmbeddedServer", "serve_main"]
 
 logger = get_logger("serve.server")
-
-_POST_ROUTES = ("/v1/partition", "/v1/simulate")
-_GET_ROUTES = ("/healthz", "/metrics", "/debug/requests", "/debug/inflight")
-_DEBUG_REQUEST_PREFIX = "/debug/requests/"
 
 
 @dataclass(frozen=True)
@@ -123,136 +102,30 @@ class ServeConfig:
     cache_exchange_s: float | None = None  # period of cross-replica cache exchange
 
 
-class _HttpError(Exception):
-    def __init__(self, status: int, message: str):
-        super().__init__(message)
-        self.status = status
+class PartitionServer(HttpService):
+    """The service: owns the batcher and the shared caches."""
 
-
-_STATUS_TEXT = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    408: "Request Timeout",
-    413: "Payload Too Large",
-    422: "Unprocessable Entity",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
-
-
-async def _read_request(reader: asyncio.StreamReader):
-    """One HTTP/1.1 request → ``(method, path, headers, body)``.
-
-    Returns ``None`` on a clean EOF before the request line (keep-alive
-    connection closed by the peer).
-    """
-    line = await reader.readline()
-    if not line:
-        return None
-    try:
-        method, path, _version = line.decode("latin-1").rstrip("\r\n").split(" ", 2)
-    except ValueError:
-        raise _HttpError(400, "malformed request line") from None
-    headers: dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n"):
-            break
-        if not raw:
-            raise _HttpError(400, "truncated headers")
-        try:
-            name, _, value = raw.decode("latin-1").partition(":")
-        except UnicodeDecodeError:  # pragma: no cover - latin-1 total
-            raise _HttpError(400, "undecodable header") from None
-        if not _:
-            raise _HttpError(400, f"malformed header line {raw!r}")
-        headers[name.strip().lower()] = value.strip()
-    body = b""
-    length = headers.get("content-length")
-    if length is not None:
-        try:
-            n = int(length)
-        except ValueError:
-            raise _HttpError(400, "malformed Content-Length") from None
-        if n < 0:
-            raise _HttpError(400, "negative Content-Length")
-        if n > MAX_BODY_BYTES:
-            raise _HttpError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-        body = await reader.readexactly(n)
-    elif headers.get("transfer-encoding"):
-        raise _HttpError(400, "chunked request bodies are not supported")
-    return method, path.split("?", 1)[0], headers, body
-
-
-@dataclass(frozen=True)
-class _TextPayload:
-    """A non-JSON response body (Prometheus text exposition)."""
-
-    text: str
-    content_type: str = PROMETHEUS_CONTENT_TYPE
-
-
-def _encode_response(
-    status: int,
-    payload,
-    *,
-    keep_alive: bool,
-    extra_headers: dict[str, str] | None = None,
-) -> bytes:
-    if isinstance(payload, _TextPayload):
-        body = payload.text.encode("utf-8")
-        content_type = payload.content_type
-    else:
-        body = json.dumps(payload, indent=2).encode("utf-8") + b"\n"
-        content_type = "application/json"
-    lines = [
-        f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
-        f"Content-Type: {content_type}",
-        f"Content-Length: {len(body)}",
-        f"Server: repro-serve/{__version__}",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
-    ]
-    for name, value in (extra_headers or {}).items():
-        lines.append(f"{name}: {value}")
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
-
-
-class PartitionServer:
-    """The service: owns the listener, the batcher, and the shared caches."""
+    prefix = "serve"
 
     def __init__(self, config: ServeConfig | None = None):
-        self.config = config or ServeConfig()
-        if self.config.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.config.workers}")
-        if self.config.queue_depth < 1:
-            raise ValueError(f"queue-depth must be >= 1, got {self.config.queue_depth}")
-        self.port: int | None = None
-        self.started_at: float | None = None
-        self._server: asyncio.base_events.Server | None = None
+        config = config or ServeConfig()
+        if config.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {config.workers}")
+        if config.queue_depth < 1:
+            raise ValueError(f"queue-depth must be >= 1, got {config.queue_depth}")
+        super().__init__(config)
         self._batcher = MicroBatcher(
-            workers=self.config.workers,
-            cache_dir=self.config.cache_dir,
-            window_s=self.config.batch_window_ms / 1000.0,
-            max_batch=self.config.max_batch,
-            ship_traces=self.config.trace_requests,
-            plan_cache=self.config.plan_cache,
-            opt_budget_s=self.config.opt_budget_s,
+            workers=config.workers,
+            cache_dir=config.cache_dir,
+            window_s=config.batch_window_ms / 1000.0,
+            max_batch=config.max_batch,
+            ship_traces=config.trace_requests,
+            plan_cache=config.plan_cache,
+            opt_budget_s=config.opt_budget_s,
         )
-        self._metrics = get_registry()
-        self._flight = FlightRecorder(max(self.config.flight_capacity, 1))
-        self._admitted = 0  # unique computations queued or running
         self._inflight: dict[tuple, asyncio.Task] = {}
         self._response_cache: OrderedDict[tuple, dict] = OrderedDict()
-        self._shutdown_event: asyncio.Event | None = None
-        self._draining = False
-        self._requests_served = 0
         self._ready = False
-        self._prewarm_task: asyncio.Task | None = None
-        self._exchange_task: asyncio.Task | None = None
 
     # -- lifecycle -------------------------------------------------------
     async def start(self) -> None:
@@ -268,23 +141,12 @@ class PartitionServer:
                 self.config.cache_dir,
             )
         self._batcher.start()
-        self._shutdown_event = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.config.host,
-            self.config.port,
-            limit=65536,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self.started_at = time.monotonic()
+        await self._listen()
         self._metrics.gauge("serve.queue_depth_limit").set(self.config.queue_depth)
         self._metrics.gauge("serve.cache_entries_loaded").set(loaded)
-        self._prewarm_task = asyncio.create_task(self._prewarm())
+        self._tasks.append(asyncio.create_task(self._prewarm()))
         if self.config.cache_dir and self.config.cache_exchange_s:
-            self._exchange_task = asyncio.create_task(self._cache_exchange_loop())
-        if self.config.port_file:
-            with open(self.config.port_file, "w", encoding="utf-8") as fh:
-                fh.write(f"{self.port}\n")
+            self._tasks.append(asyncio.create_task(self._cache_exchange_loop()))
         logger.info("listening on %s:%d", self.config.host, self.port)
 
     async def _prewarm(self) -> None:
@@ -331,32 +193,8 @@ class PartitionServer:
             self._metrics.counter("serve.cache_exchange.absorbed").inc(absorbed)
             self._metrics.gauge("serve.cache_exchange.last_written").set(written)
 
-    def signal_shutdown(self) -> None:
-        """Begin graceful drain (call from within the event loop)."""
-        if self._shutdown_event is not None:
-            self._shutdown_event.set()
-
-    async def serve_until_shutdown(self) -> None:
-        assert self._shutdown_event is not None, "start() first"
-        await self._shutdown_event.wait()
-        await self.shutdown()
-
-    async def shutdown(self) -> None:
-        """Stop accepting, drain in-flight work, flush caches."""
-        if self._server is None:
-            return
-        self._draining = True
-        for task in (self._prewarm_task, self._exchange_task):
-            if task is not None and not task.done():
-                task.cancel()
-                try:
-                    await task
-                except (asyncio.CancelledError, Exception):
-                    pass
-        self._prewarm_task = self._exchange_task = None
-        self._server.close()
-        await self._server.wait_closed()
-        self._server = None
+    async def _drain(self) -> None:
+        """Let in-flight work finish, flush caches, stop the pool."""
         try:
             await asyncio.wait_for(self._batcher.drain(), timeout=self.config.drain_s)
         except asyncio.TimeoutError:
@@ -384,196 +222,29 @@ class PartitionServer:
                 )
         # Pool teardown joins worker processes; keep it off the loop thread.
         await asyncio.get_running_loop().run_in_executor(None, self._batcher.stop)
-        logger.info("drained; %d requests served", self._requests_served)
 
-    # -- connection handling ---------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    parsed = await asyncio.wait_for(_read_request(reader), timeout=60.0)
-                except asyncio.TimeoutError:
-                    break  # idle keep-alive connection
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                except _HttpError as e:
-                    writer.write(
-                        _encode_response(
-                            e.status,
-                            error_payload("invalid-request", str(e)),
-                            keep_alive=False,
-                        )
-                    )
-                    await writer.drain()
-                    break
-                if parsed is None:
-                    break
-                method, path, headers, body = parsed
-                keep_alive = headers.get("connection", "keep-alive").lower() != "close"
-                status, payload, extra = await self._route(method, path, headers, body)
-                writer.write(
-                    _encode_response(
-                        status, payload, keep_alive=keep_alive, extra_headers=extra
-                    )
-                )
-                await writer.drain()
-                self._requests_served += 1
-                if not keep_alive:
-                    break
-        except ConnectionError:  # peer vanished mid-response
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:  # pragma: no cover
-                pass
+    def _flight_trace(self, record, *, status, cache, meta, total_ms) -> dict | None:
+        """Stitch the trace of a request that actually ran the compute.
 
-    # -- routing ---------------------------------------------------------
-    async def _route(self, method: str, path: str, headers: dict[str, str], body: bytes):
-        """Dispatch one request; returns ``(status, payload, extra_headers)``."""
-        if path.startswith(_DEBUG_REQUEST_PREFIX):
-            endpoint = "/debug/requests/<id>"
-        else:
-            endpoint = path if path in _POST_ROUTES + _GET_ROUTES else "other"
-        self._metrics.counter("serve.requests", endpoint=endpoint).inc()
-        t0 = time.perf_counter()
-        extra: dict[str, str] = {}
-        is_compute = path in _POST_ROUTES
-        record = meta = None
-        error_code = None
-        try:
-            request_id = validate_request_id(headers.get("x-repro-request-id"))
-            if request_id is None:
-                request_id = uuid.uuid4().hex[:16]
-            extra["X-Repro-Request-Id"] = request_id
-            if is_compute:
-                record = self._flight.begin(request_id, endpoint)
-            if path in _GET_ROUTES or endpoint == "/debug/requests/<id>":
-                if method != "GET":
-                    raise ProtocolError(
-                        f"{path} only supports GET", code="method-not-allowed", status=405
-                    )
-                status, payload = 200, self._handle_get(path, headers)
-            elif is_compute:
-                if method != "POST":
-                    raise ProtocolError(
-                        f"{path} only supports POST", code="method-not-allowed", status=405
-                    )
-                status, payload, extra_c, meta = await self._handle_compute(
-                    path, body, request_id
-                )
-                extra.update(extra_c)
-            else:
-                raise ProtocolError(
-                    f"no such endpoint {path!r}", code="not-found", status=404
-                )
-        except ProtocolError as e:
-            status, payload, error_code = e.status, e.to_payload(), e.code
-            meta = getattr(e, "compute_meta", None)
-            if e.status == 429:
-                extra["Retry-After"] = "1"
-        except Exception as e:  # pragma: no cover - route safety net
-            logger.exception("unhandled error serving %s %s", method, path)
-            status = 500
-            error_code = "internal-error"
-            payload = error_payload("internal-error", f"{type(e).__name__}: {e}")
-        total_ms = (time.perf_counter() - t0) * 1000.0
-        if record is not None:
-            self._finish_flight(
-                record, status=status, cache=extra.get("X-Repro-Cache"),
-                meta=meta, total_ms=total_ms, error_code=error_code,
-            )
-        self._metrics.counter(
-            "serve.responses", endpoint=endpoint, status=str(status)
-        ).inc()
-        self._metrics.latency_histogram("serve.latency_ms", endpoint=endpoint).observe(
-            total_ms
-        )
-        return status, payload, extra
-
-    def _finish_flight(
-        self,
-        record,
-        *,
-        status: int,
-        cache: str | None,
-        meta: dict | None,
-        total_ms: float,
-        error_code: str | None,
-    ) -> None:
-        """Close a compute request's flight record, stitching its trace.
-
-        A full trace is kept only for requests that actually ran the
-        compute (cache=miss with worker meta); hits and coalesced
+        Only cache=miss with worker meta qualifies; hits and coalesced
         followers reuse the leader's computation, so their records carry
         the latency breakdown but no duplicate span tree.
         """
-        meta = meta or {}
-        trace = None
-        if self.config.trace_requests and cache == "miss" and "spans" in meta:
-            trace = stitch_trace(
-                record.request_id,
-                record.endpoint,
-                total_ms=total_ms,
-                status=status,
-                cache=cache,
-                queue_ms=meta.get("queue_ms"),
-                compute_ms=meta.get("compute_ms"),
-                worker_pid=meta.get("worker_pid"),
-                worker_spans=meta.get("spans"),
-            )
-        self._flight.finish(
-            record,
+        if not (self.config.trace_requests and cache == "miss" and "spans" in meta):
+            return None
+        return stitch_trace(
+            record.request_id,
+            record.endpoint,
+            total_ms=total_ms,
             status=status,
             cache=cache,
             queue_ms=meta.get("queue_ms"),
             compute_ms=meta.get("compute_ms"),
-            total_ms=round(total_ms, 3),
             worker_pid=meta.get("worker_pid"),
-            error_code=error_code,
-            trace=trace,
+            worker_spans=meta.get("spans"),
         )
 
-    def _handle_get(self, path: str, headers: dict[str, str]):
-        if path == "/healthz":
-            return self._healthz()
-        if path == "/metrics":
-            accept = headers.get("accept", "")
-            if "text/plain" in accept or "openmetrics" in accept:
-                self._refresh_slo_gauges()
-                return _TextPayload(prometheus_text(self._metrics))
-            return self._metrics_dump()
-        if path == "/debug/requests":
-            return {
-                "schema": "repro.serve-debug-requests",
-                "version": 1,
-                "requests": self._flight.recent(50),
-                "slowest": self._flight.slowest(),
-            }
-        if path == "/debug/inflight":
-            return {
-                "schema": "repro.serve-debug-inflight",
-                "version": 1,
-                "admitted": self._admitted,
-                "inflight": self._flight.inflight(),
-            }
-        request_id = path[len(_DEBUG_REQUEST_PREFIX):]
-        found = self._flight.get(request_id)
-        if found is None:
-            raise ProtocolError(
-                f"no retained request {request_id!r} (records and traces "
-                "are bounded rings; it may have been evicted)",
-                code="not-found",
-                status=404,
-            )
-        return dict(
-            {"schema": "repro.serve-debug-request", "version": 1}, **found
-        )
-
-    async def _handle_compute(self, path: str, body: bytes, request_id: str):
+    async def _post(self, path: str, body: bytes, request_id: str):
         if self._draining:
             raise ProtocolError(
                 "server is draining", code="shutting-down", status=503
@@ -658,33 +329,16 @@ class PartitionServer:
             "status": "draining" if self._draining else "ok",
             "ready": bool(self._ready and not self._draining),
             "version": __version__,
-            "uptime_s": round(time.monotonic() - self.started_at, 3)
-            if self.started_at is not None
-            else 0.0,
+            "uptime_s": self._uptime_s(),
             "inflight": self._admitted,
             "queue_depth": self.config.queue_depth,
             "workers": self.config.workers,
             "response_cache_entries": len(self._response_cache),
         }
 
-    def _refresh_slo_gauges(self) -> None:
-        """Recompute SLO burn-rate gauges from the flight-recorder window.
-
-        Burn rates are scrape-time quantities (a ratio over a trailing
-        window), so they are refreshed on every ``/metrics`` read rather
-        than on every request.
-        """
-        burn = self._flight.burn_rates(
-            slo_p99_ms=self.config.slo_p99_ms,
-            slo_error_rate=self.config.slo_error_rate,
-        )
-        self._metrics.gauge("serve.slo.error_burn").set(burn["error_burn"])
-        self._metrics.gauge("serve.slo.latency_burn").set(burn["latency_burn"])
-        self._metrics.gauge("serve.slo.error_rate").set(burn["error_rate"])
-        self._metrics.gauge("serve.slo.window_requests").set(burn["window_requests"])
-
-    def _metrics_dump(self) -> dict:
-        self._refresh_slo_gauges()
+    async def _metrics_response(self, *, prometheus: bool):
+        if prometheus:
+            return TextPayload(prometheus_text(self._metrics))
         return {
             "schema": "repro.serve-metrics",
             "version": 1,
@@ -692,10 +346,7 @@ class PartitionServer:
             "server": self._healthz(),
             "metrics": self._metrics.snapshot(),
             "caches": analytic_cache_stats(),
-            "slo": {
-                "p99_ms": self.config.slo_p99_ms,
-                "error_rate": self.config.slo_error_rate,
-            },
+            "slo": self._slo_targets(),
         }
 
 
@@ -704,18 +355,16 @@ class PartitionServer:
 
 
 class EmbeddedServer:
-    """A :class:`PartitionServer` on a background thread.
+    """An :class:`~repro.serve.http.HttpService` on a background thread.
 
     For tests and in-process embedding: ``start()`` returns once the
     port is bound; ``stop()`` runs the full graceful drain.  Usable as a
-    context manager.
+    context manager.  ``config`` is a :class:`ServeConfig` (or ``None``)
+    for a :class:`PartitionServer`, or any ready-made service.
     """
 
-    def __init__(self, config: ServeConfig | None = None, *, server=None):
-        # ``server`` lets subclasses (EmbeddedRouter) reuse the thread
-        # harness around any object with the same lifecycle protocol
-        # (start / serve_until_shutdown / signal_shutdown / port).
-        self.server = server if server is not None else PartitionServer(config)
+    def __init__(self, config: ServeConfig | HttpService | None = None):
+        self.server = config if isinstance(config, HttpService) else PartitionServer(config)
         self._thread: threading.Thread | None = None
         self._started = threading.Event()
         self._startup_error: BaseException | None = None
@@ -864,27 +513,8 @@ def serve_main(argv: list[str] | None = None, *, out=None) -> int:
         cache_exchange_s=args.cache_exchange_s,
     )
 
-    async def run() -> None:
-        server = PartitionServer(config)
-        await server.start()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, server.signal_shutdown)
-            except NotImplementedError:  # pragma: no cover - non-POSIX
-                pass
-        print(
-            f"serve: listening on http://{config.host}:{server.port} "
-            f"(workers={config.workers}, queue-depth={config.queue_depth})",
-            file=out,
-            flush=True,
-        )
-        await server.serve_until_shutdown()
-        print("serve: drained, bye", file=out, flush=True)
-
-    try:
-        asyncio.run(run())
-    except OSError as e:
-        print(f"error: cannot listen on {config.host}:{config.port}: {e}", file=out)
-        return 1
-    return 0
+    return run_service(
+        PartitionServer(config),
+        detail=f"(workers={config.workers}, queue-depth={config.queue_depth})",
+        out=out,
+    )

@@ -77,6 +77,17 @@ class TestRenderDashboard:
         assert "latency burn 2.0×" in frame
         assert "p99 1000.0 ms" in frame
 
+    def test_router_slo_gauges_win_over_replica_gauges(self):
+        metrics = CANNED_METRICS + [
+            {"name": "route.slo.error_burn", "type": "gauge", "value": 0.25},
+            {"name": "route.slo.latency_burn", "type": "gauge", "value": 3.0},
+        ]
+        dump = _dump(metrics, slo={"p99_ms": 250.0, "error_rate": 0.05})
+        frame = render_dashboard(dump, {}, {})
+        assert "error burn 0.25×" in frame
+        assert "latency burn 3.0×" in frame
+        assert "0.5×" not in frame  # the replica's serve.slo burn
+
     def test_latency_table(self):
         frame = render_dashboard(_dump(CANNED_METRICS), {}, {})
         assert "/v1/partition" in frame

@@ -294,6 +294,54 @@ class TestRouting:
         assert inflight["admitted"] == 0
 
 
+class TestRouterSlo:
+    def test_router_burn_gauges_and_top_slo_line(self, cluster):
+        """``--slo-*`` on the router drive its own ``route.slo.*`` gauges.
+
+        A 1 µs p99 target makes every routed request slow, so the
+        router's latency burn is the maximum (100×) while the replicas,
+        at their default 1 s target, burn nothing: ``repro top`` against
+        the router must print the router's burn and targets.
+        """
+        import io
+
+        from repro.cli_top import top_main
+
+        _router, replicas = cluster
+        router = EmbeddedRouter(
+            RouterConfig(
+                port=0,
+                replicas=(f"127.0.0.1:{replicas[0].port}",),
+                health_interval_s=0.1,
+                slo_p99_ms=0.001,
+                slo_error_rate=0.5,
+            )
+        ).start()
+        try:
+            _wait_ready(router.port)
+            with ServeClient("127.0.0.1", router.port) as c:
+                c.partition(FAST_SOURCE, 4, label="router-slo")
+                dump = c.metrics()
+            gauges = {
+                e["name"]: e["value"]
+                for e in dump["metrics"]
+                if e["name"].startswith("route.slo.")
+            }
+            assert gauges["route.slo.window_requests"] >= 1
+            assert gauges["route.slo.latency_burn"] == 100.0
+            assert gauges["route.slo.error_burn"] == 0.0
+            assert dump["slo"] == {"p99_ms": 0.001, "error_rate": 0.5}
+            out = io.StringIO()
+            assert top_main(["--port", str(router.port), "--once"], out=out) == 0
+            (slo_line,) = [
+                ln for ln in out.getvalue().splitlines() if ln.startswith("slo:")
+            ]
+            assert "latency burn 100.0×" in slo_line
+            assert "targets: p99 0.001 ms, errors 0.5" in slo_line
+        finally:
+            router.stop()
+
+
 class TestFailoverAndReadmission:
     def test_ejection_reroutes_to_survivor(self):
         replicas = [EmbeddedServer(ServeConfig(port=0, workers=1)) for _ in range(2)]
