@@ -425,7 +425,8 @@ def check_codegen(art: CaseArtifacts) -> None:
 
 
 def check_engine_parity(art: CaseArtifacts) -> None:
-    """Fast and exact engines must agree on every counter."""
+    """Fast and exact engines must agree on every counter and on every
+    line's end state (directory entries and cached lines)."""
     fast, exact = art.sim_fast, art.sim_exact
     if fast is None or exact is None:
         return
@@ -443,6 +444,13 @@ def check_engine_parity(art: CaseArtifacts) -> None:
         != exact.machine.directory.sharer_histogram()
     ):
         art.fail("engine-parity", "sharer histograms differ")
+    fast_dir, fast_caches = fast.machine.end_state()
+    exact_dir, exact_caches = exact.machine.end_state()
+    if fast_dir != exact_dir:
+        art.fail("engine-parity", "directory entries (sharers, owner) differ")
+    for p, (f, e) in enumerate(zip(fast_caches, exact_caches)):
+        if f != e:
+            art.fail("engine-parity", f"cached lines differ on processor {p}")
 
 
 def check_simulation_model(art: CaseArtifacts, *, ratio_eps: float = 1e-9) -> None:

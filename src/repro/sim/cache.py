@@ -107,14 +107,25 @@ class Cache:
         # unbounded caches use a plain dict (faster lookups and updates).
         self._lines: dict = OrderedDict() if capacity is not None else {}
         self.stats = CacheStats(registry=registry, **labels)
+        # Set by a directory holding deferred bulk lines for this cache
+        # (fast engine): called before the lines are inspected so they
+        # are materialised first.
+        self.before_read = None
+
+    def _materialise(self) -> None:
+        if self.before_read is not None:
+            self.before_read()
 
     def __len__(self) -> int:
+        self._materialise()
         return len(self._lines)
 
     def __contains__(self, addr) -> bool:
+        self._materialise()
         return addr in self._lines
 
     def state(self, addr) -> LineState | None:
+        self._materialise()
         return self._lines.get(addr)
 
     def _touch(self, addr) -> None:
@@ -186,3 +197,4 @@ class Cache:
     def flush(self) -> None:
         """Empty the cache (used between independent simulations)."""
         self._lines.clear()
+        self.before_read = None

@@ -87,7 +87,11 @@ class Directory:
 
     def __init__(self, caches: list[Cache], *, registry: MetricsRegistry | None = None):
         self.caches = caches
-        self.entries: dict = {}
+        self._entries: dict = {}
+        # Fast-engine end state not yet turned into per-line objects, as
+        # ``(array, rows, touch, modified)`` blocks (see
+        # :meth:`record_bulk`); :meth:`expand` materialises them.
+        self._pending: list[tuple] = []
         self.metrics = registry if registry is not None else MetricsRegistry()
         self.stats = CoherenceStats(registry=self.metrics)
         # Sharer count seen by each serviced write (how many other copies
@@ -104,11 +108,17 @@ class Directory:
     def _count_miss_class(self, kind: str, proc: int) -> None:
         self.metrics.counter("sim.directory.miss_class", kind=kind, proc=proc).inc()
 
+    @property
+    def entries(self) -> dict:
+        """Address → :class:`DirectoryEntry` (deferred blocks expanded)."""
+        self.expand()
+        return self._entries
+
     def _entry(self, addr) -> DirectoryEntry:
-        e = self.entries.get(addr)
+        e = self._entries.get(addr)
         if e is None:
             e = DirectoryEntry()
-            self.entries[addr] = e
+            self._entries[addr] = e
         return e
 
     def _classify_miss(self, addr, proc: int) -> None:
@@ -203,10 +213,7 @@ class Directory:
             self.caches[sharer].invalidate(addr)
             self._invalidated_at.setdefault(addr, set()).add(sharer)
             self.stats.invalidations += 1
-        if upgrade:
-            msgs.append((-1, proc))
-        else:
-            msgs.append((-1, proc))
+        msgs.append((-1, proc))
         e.sharers = {proc}
         e.owner = proc
         self._fill(addr, proc, LineState.MODIFIED)
@@ -217,81 +224,74 @@ class Directory:
             self.note_eviction(victim, proc)
         self._ever_filled.add(addr)
 
-    def bulk_install(
-        self, proc: int, array: str, line_coords, *, modified: bool
-    ) -> None:
-        """Install lines proven private to ``proc`` (fast engine).
+    def record_bulk(self, array: str, rows, touch, *, modified: bool) -> None:
+        """Record analytically resolved lines' end state (fast engine).
 
-        ``line_coords`` is an ``(N, d)`` integer array of line
-        coordinates.  ``modified=True`` leaves every line in M with
-        ``proc`` as owner (the state the exact protocol ends in after the
-        line's last write — a written analytic line is by construction
-        private to one processor), ``False`` in S with ``proc`` the sole
-        sharer.  Event counters are *not* touched — the caller accounts
-        misses, upgrades and messages in bulk; this keeps the directory
-        entries, caches and ``_ever_filled`` consistent so
-        :meth:`check_invariants`, :meth:`sharer_histogram` and later
-        accesses see the same state the scalar path would have produced.
+        ``rows`` is an ``(N, d)`` integer array of line coordinates and
+        ``touch`` a ``(P, N)`` boolean matrix: ``touch[p, i]`` marks
+        processor ``p`` as a toucher of line ``i``.  ``modified=True``
+        marks written lines, private by construction: the sole toucher
+        ends with the line in M as its owner.  Otherwise every toucher
+        ends with an S copy and the entry lists them all as sharers, no
+        owner.  Either is the state the exact protocol reaches whatever
+        the access order.  The lines must not be in the directory yet.
+
+        The block stays compact until something reads per-line state
+        (:meth:`expand`); event counters are the caller's job.
         """
-        cache = self.caches[proc]
-        if cache.capacity is not None:
-            raise SimulationError("bulk install requires an unbounded cache")
-        addrs = [(array, tuple(row)) for row in line_coords.tolist()]
-        state = LineState.MODIFIED if modified else LineState.SHARED
-        owner = proc if modified else None
-        cache._lines.update(dict.fromkeys(addrs, state))
-        self.entries.update(
-            (a, DirectoryEntry(sharers={proc}, owner=owner)) for a in addrs
-        )
-        self._ever_filled.update(addrs)
+        if not rows.shape[0]:
+            return
+        if any(c.capacity is not None for c in self.caches):
+            raise SimulationError("bulk lines require unbounded caches")
+        self._pending.append((array, rows, touch, modified))
+        for c in self.caches:
+            c.before_read = self.expand
 
-    def bulk_install_shared(self, array: str, line_coords, touch) -> None:
-        """Install globally read-only lines at every toucher (fast engine).
-
-        ``touch`` is a ``(P, N)`` boolean matrix: ``touch[p, i]`` marks
-        processor ``p`` as having read line ``i``.  Every touched copy
-        ends in S; the directory entry records the full sharer set, no
-        owner — the state the exact protocol reaches for a never-written
-        line regardless of access order.  Counters are the caller's job,
-        as in :meth:`bulk_install`.
-        """
-        addrs = [(array, tuple(row)) for row in line_coords.tolist()]
-        for p, cache in enumerate(self.caches):
-            sel = np.flatnonzero(touch[p])
-            if sel.size == 0:
-                continue
-            if cache.capacity is not None:
-                raise SimulationError("bulk install requires an unbounded cache")
-            cache._lines.update(
-                dict.fromkeys((addrs[i] for i in sel.tolist()), LineState.SHARED)
+    def expand(self) -> None:
+        """Turn every recorded block into cache lines, directory entries
+        and ever-filled marks — the objects the scalar protocol builds."""
+        if not self._pending:
+            return
+        pending, self._pending = self._pending, []
+        for c in self.caches:
+            c.before_read = None
+        for array, rows, touch, modified in pending:
+            addrs = [(array, tuple(row)) for row in rows.tolist()]
+            state = LineState.MODIFIED if modified else LineState.SHARED
+            for p, cache in enumerate(self.caches):
+                sel = np.flatnonzero(touch[p]).tolist()
+                if sel:
+                    cache._lines.update(dict.fromkeys([addrs[i] for i in sel], state))
+            # Distinct sharer sets are few (tile-boundary patterns): decode
+            # each distinct touch column once.
+            packed = np.packbits(touch, axis=0).T
+            _, first, group = np.unique(
+                packed, axis=0, return_index=True, return_inverse=True
             )
-        entries = self.entries
-        nprocs = touch.shape[0]
-        if nprocs <= 62:
-            # Group lines by sharer bitmask: distinct sharer *sets* are few
-            # (tile-boundary patterns), so decode each mask only once.
-            weights = np.left_shift(np.int64(1), np.arange(nprocs, dtype=np.int64))
-            masks = touch.T.astype(np.int64) @ weights
-            decoded: dict[int, list[int]] = {}
-            for addr, m in zip(addrs, masks.tolist()):
-                procs = decoded.get(m)
-                if procs is None:
-                    procs = decoded[m] = [p for p in range(nprocs) if (m >> p) & 1]
-                entries[addr] = DirectoryEntry(sharers=set(procs), owner=None)
-        else:  # pragma: no cover - machines beyond bitmask range
-            for i, addr in enumerate(addrs):
+            sharers = [np.flatnonzero(touch[:, i]).tolist() for i in first.tolist()]
+            entries = self._entries
+            for addr, g in zip(addrs, group.reshape(-1).tolist()):
+                procs = sharers[g]
                 entries[addr] = DirectoryEntry(
-                    sharers=set(np.flatnonzero(touch[:, i]).tolist()), owner=None
+                    sharers=set(procs), owner=procs[0] if modified else None
                 )
-        self._ever_filled.update(addrs)
+            self._ever_filled.update(addrs)
 
     # ------------------------------------------------------------------
     def sharer_histogram(self) -> dict[int, int]:
-        """Map ``k`` → number of addresses currently cached by ``k`` procs."""
+        """Map ``k`` → number of addresses currently cached by ``k`` procs.
+
+        Recorded blocks are counted from their touch matrices without
+        being expanded.
+        """
         hist: dict[int, int] = {}
-        for e in self.entries.values():
+        for e in self._entries.values():
             k = len(e.sharers) + (1 if e.owner is not None and e.owner not in e.sharers else 0)
             hist[k] = hist.get(k, 0) + 1
+        for _, _, touch, _ in self._pending:
+            ks, counts = np.unique(touch.sum(axis=0), return_counts=True)
+            for k, n in zip(ks.tolist(), counts.tolist()):
+                hist[k] = hist.get(k, 0) + n
         return hist
 
     def check_invariants(self) -> None:

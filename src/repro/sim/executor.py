@@ -207,6 +207,22 @@ def simulate_nest(
         )
     elif machine.p != processors:
         raise SimulationError("machine size does not match processor count")
+    else:
+        cfg = machine.config
+        conflicts = [
+            ("line_size", line_size != 1 and line_size != cfg.line_size),
+            ("cache_capacity",
+             cache_capacity is not None and cache_capacity != cfg.cache_capacity),
+            ("cache_enabled", not cache_enabled and cfg.cache_enabled),
+            ("address_map",
+             address_map is not None and address_map is not machine.address_map),
+        ]
+        for name, conflict in conflicts:
+            if conflict:
+                raise SimulationError(
+                    f"{name} argument disagrees with the given machine's "
+                    f"configuration; set it on the machine instead"
+                )
     if observer is not None:
         machine.observer = observer
 

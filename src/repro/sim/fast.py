@@ -30,7 +30,10 @@ construction) and an exact vectorised ownership count otherwise — then
   accounting (optionally fanned out over a ``multiprocessing`` pool),
 * replays only the write-shared residue through the exact scalar
   protocol, in the same global interleaved order the exact engine would
-  use.
+  use,
+* records the analytic lines' end state as compact blocks
+  (:meth:`repro.sim.directory.Directory.record_bulk`), expanded into
+  per-line cache and directory objects only when something reads them.
 
 Analytic accesses never touch a residue line's cache or directory state
 (and unbounded caches have no capacity coupling), so removing them from
@@ -76,9 +79,11 @@ def fast_path_blockers(machine: Machine, observer=None) -> list[str]:
         blockers.append("caching disabled")
     if cfg.cache_capacity is not None:
         blockers.append(f"finite cache capacity ({cfg.cache_capacity} lines)")
+    directory = machine.directory
     if (
-        machine.directory.entries
-        or machine.directory._ever_filled
+        directory._pending
+        or directory._entries
+        or directory._ever_filled
         or any(len(c) for c in machine.caches)
     ):
         blockers.append("machine not fresh (pre-existing cache/directory state)")
@@ -262,6 +267,9 @@ def execute_fast(
     payloads: list[tuple] = []
     payload_meta: list[tuple] = []
     residue: list[tuple] = []
+    # The analytic lines' end state, as :meth:`Directory.record_bulk`
+    # blocks, recorded once the residue replay is done.
+    blocks: list[tuple] = []
 
     for array in arrays:
         ref_idx = [r for r, s in enumerate(ref_structure) if s.array == array]
@@ -270,9 +278,13 @@ def execute_fast(
             # Touched-once-by-construction: no uniquing or grouping needed.
             r = ref_idx[0]
             wr = ref_structure[r].is_write_like
-            for p in range(processors):
-                coords = streams[p][r].coords
-                n = int(coords.shape[0])
+            per_proc = [streams[p][r].coords for p in range(processors)]
+            counts = [int(c.shape[0]) for c in per_proc]
+            n_all = sum(counts)
+            touch = np.zeros((processors, n_all), dtype=bool)
+            touch[np.repeat(np.arange(processors), counts), np.arange(n_all)] = True
+            blocks.append((array, np.concatenate(per_proc), touch, wr))
+            for p, (coords, n) in enumerate(zip(per_proc, counts)):
                 if n == 0:
                     continue
                 directory.stats.cold_fills += n
@@ -287,7 +299,6 @@ def execute_fast(
                     coords_lines=coords,
                     sweeps=sweeps,
                 )
-                directory.bulk_install(p, array, coords, modified=wr)
             continue
 
         # Global line ids for this array across all processors.
@@ -349,21 +360,12 @@ def execute_fast(
         # processors each is shared by (first fetch by *anyone*).
         directory.stats.cold_fills += int(bulk.sum())
 
-        # Install the analytic lines' end state.  A written bulk line is
-        # private: its sole toucher ends with it in M.  A read-only bulk
-        # line ends in S at every toucher.
-        bulk_idx = np.flatnonzero(bulk)
-        if bulk_idx.size:
-            rows_bulk = uniq_lines[bulk_idx]
-            wr_bulk = ever_written[bulk_idx]
-            tb = touch[:, bulk_idx]
-            for p in range(processors):
-                sel = tb[p] & wr_bulk
-                if sel.any():
-                    directory.bulk_install(p, array, rows_bulk[sel], modified=True)
-            ro = ~wr_bulk
-            if ro.any():
-                directory.bulk_install_shared(array, rows_bulk[ro], tb[:, ro])
+        # The analytic lines' end state: a written bulk line is private,
+        # so its sole toucher ends with it in M; a read-only bulk line
+        # ends in S at every toucher.
+        for modified in (True, False):
+            sel = bulk & (ever_written == modified)
+            blocks.append((array, uniq_lines[sel], touch[:, sel], modified))
 
     # ---- bulk phase: vectorised first-touch accounting ----------------
     summaries = _run_summaries(payloads, workers)
@@ -402,6 +404,13 @@ def execute_fast(
             access(p, array, coords, kind)
         if check_invariants:
             machine.check()
+
+    # Residue lines are disjoint from bulk lines, so recording the bulk
+    # end state only now leaves the replay above free of expansions.
+    for array, rows, touch, modified in blocks:
+        directory.record_bulk(array, rows, touch, modified=modified)
+    if check_invariants and directory._pending:
+        machine.check()
 
 
 # ----------------------------------------------------------------------

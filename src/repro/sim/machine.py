@@ -131,20 +131,18 @@ class Machine:
         """
         homes = np.asarray(homes, dtype=np.int64)
         events = np.asarray(events, dtype=np.int64)
-        local = homes == proc
-        n_local = int(events[local].sum())
-        n_remote = int(events[~local].sum())
+        per_home = np.bincount(homes, weights=events, minlength=self.p).astype(np.int64)
+        n_local = int(per_home[proc])
+        per_home[proc] = 0
+        n_remote = int(per_home.sum())
         if n_local:
             self.local_miss_count[proc] += n_local
             self.memory_cost[proc] += n_local * self.config.local_cost
         if n_remote:
             self.remote_miss_count[proc] += n_remote
             self.memory_cost[proc] += n_remote * self.config.remote_cost
-            remote_homes = homes[~local]
-            remote_events = events[~local]
-            for h in np.unique(remote_homes):
-                cnt = int(remote_events[remote_homes == h].sum())
-                self.network.send_bulk(proc, int(h), 2 * cnt)
+            for h in np.flatnonzero(per_home).tolist():
+                self.network.send_bulk(proc, h, 2 * int(per_home[h]))
 
     def line_of(self, array: str, coords: tuple[int, ...]) -> tuple[int, ...]:
         """Coherence-unit coordinates: last dimension divided by line size."""
@@ -159,7 +157,10 @@ class Machine:
         ``kind`` ∈ {'read', 'write', 'sync'}; sync behaves as write
         (Appendix A).  When an :attr:`observer` is attached it sees every
         access (element coordinates, pre line-grouping) after servicing.
+        Deferred fast-engine lines are expanded first.
         """
+        if self.directory._pending:
+            self.directory.expand()
         hit = self._access(proc, array, coords, kind)
         if self.observer is not None:
             self.observer(proc, array, coords, kind, hit)
@@ -216,13 +217,31 @@ class Machine:
         return sum(c.stats.accesses for c in self.caches)
 
     def flush_caches(self) -> None:
-        """Reset cache and directory content, keep counters."""
+        """Reset cache and directory content, keep counters.
+
+        Deferred fast-engine blocks are dropped unexpanded.
+        """
         for c in self.caches:
             c.flush()
-        self.directory.entries.clear()
+        self.directory._pending.clear()
+        self.directory._entries.clear()
         self.directory._invalidated_at.clear()
         self.directory._evicted_at.clear()
         self.directory._ever_filled.clear()
+
+    def end_state(self) -> tuple[dict, list[dict]]:
+        """Every line's protocol state, deferred blocks expanded.
+
+        Returns ``(directory, caches)``: ``directory`` maps each address
+        to its ``(sorted sharers, owner)``, ``caches[p]`` is processor
+        ``p``'s address → :class:`~repro.sim.cache.LineState` map.  Two
+        engines leave the same machine iff these (and the counters) agree.
+        """
+        directory = {
+            addr: (tuple(sorted(e.sharers)), e.owner)
+            for addr, e in self.directory.entries.items()
+        }
+        return directory, [dict(c._lines) for c in self.caches]
 
     def check(self) -> None:
         """Run protocol invariant checks (tests call this liberally)."""

@@ -9,6 +9,7 @@ from repro.lang import compile_nest
 from repro.sim import simulate_nest
 from repro.sim.trace import assign_tiles_to_processors, nest_trace, tile_accesses
 from repro.core.tiles import Tiling
+from repro.exceptions import SimulationError
 
 
 class TestTrace:
@@ -170,3 +171,62 @@ class TestStatsSurface:
             example2_nest, RectangularTile([50, 50]), 4, check_invariants=True
         )
         assert r.total_misses > 0
+
+
+class TestMachineSettingConflicts:
+    """A ``machine=`` fixes the machine settings; a non-default argument
+    that disagrees with its config is an error, never silently ignored
+    (Example 8, N=8, P=8, 4×4×4 tiles)."""
+
+    @pytest.fixture
+    def nest(self):
+        from benchmarks.paper_programs import example8
+
+        return example8(8)
+
+    @staticmethod
+    def _machine(**cfg):
+        from repro.sim import Machine, MachineConfig
+
+        return Machine(MachineConfig(processors=8, **cfg))
+
+    def test_line_size_conflict(self, nest):
+        with pytest.raises(SimulationError, match="line_size"):
+            simulate_nest(
+                nest, RectangularTile([4, 4, 4]), 8,
+                line_size=2, machine=self._machine(),
+            )
+
+    def test_cache_capacity_conflict(self, nest):
+        with pytest.raises(SimulationError, match="cache_capacity"):
+            simulate_nest(
+                nest, RectangularTile([4, 4, 4]), 8,
+                cache_capacity=16, machine=self._machine(),
+            )
+
+    def test_cache_enabled_conflict(self, nest):
+        with pytest.raises(SimulationError, match="cache_enabled"):
+            simulate_nest(
+                nest, RectangularTile([4, 4, 4]), 8,
+                cache_enabled=False, machine=self._machine(),
+            )
+
+    def test_address_map_conflict(self, nest):
+        from repro.sim.memory import AddressMap
+
+        with pytest.raises(SimulationError, match="address_map"):
+            simulate_nest(
+                nest, RectangularTile([4, 4, 4]), 8,
+                address_map=AddressMap(8, default_policy="node0"),
+                machine=self._machine(),
+            )
+
+    def test_agreeing_settings_accepted(self, nest):
+        tile = RectangularTile([4, 4, 4])
+        alone = simulate_nest(nest, tile, 8, line_size=2, cache_capacity=16)
+        given = simulate_nest(
+            nest, tile, 8, line_size=2, cache_capacity=16,
+            machine=self._machine(line_size=2, cache_capacity=16),
+        )
+        assert given == alone
+        assert given.capacity_misses > 0

@@ -5,7 +5,8 @@ globally read-only cache lines analytically and replays only the shared
 residue through the scalar MSI protocol.  Its contract is *bit-identical
 results*: every counter a :class:`SimulationResult` carries, every
 per-cache stat, the coherence stats, and the directory's end state
-(sharer histogram + protocol invariants) must equal the exact engine's.
+(every directory entry and cached line, the sharer histogram, and the
+protocol invariants) must equal the exact engine's.
 
 The unmarked tests are a quick smoke over representative programs; the
 exhaustive sweep over every paper program × interleave × line size ×
@@ -61,14 +62,14 @@ def _machine(processors: int, **cfg) -> Machine:
     )
 
 
-def assert_parity(nest, tile, processors, *, line_size=1, **kwargs):
+def assert_parity(nest, tile, processors, *, line_size=1, address_map=None, **kwargs):
     """Run both engines on fresh machines and compare everything."""
     exact = simulate_nest(
         nest,
         tile,
         processors,
         engine="exact",
-        machine=_machine(processors, line_size=line_size),
+        machine=_machine(processors, line_size=line_size, address_map=address_map),
         check_invariants=True,
         **kwargs,
     )
@@ -77,7 +78,7 @@ def assert_parity(nest, tile, processors, *, line_size=1, **kwargs):
         tile,
         processors,
         engine="fast",
-        machine=_machine(processors, line_size=line_size),
+        machine=_machine(processors, line_size=line_size, address_map=address_map),
         check_invariants=True,
         **kwargs,
     )
@@ -93,6 +94,10 @@ def assert_parity(nest, tile, processors, *, line_size=1, **kwargs):
         fast.machine.directory._sharers_at_write.bins
         == exact.machine.directory._sharers_at_write.bins
     )
+    # The full per-line end state: every directory entry's sharers and
+    # owner, every cache's line → state map (expands the fast engine's
+    # deferred blocks).
+    assert fast.machine.end_state() == exact.machine.end_state()
     fast.machine.check()
     return fast, exact
 
@@ -123,6 +128,100 @@ def test_full_parity_sweep(name, interleave, line_size, sweeps):
         sweeps=sweeps,
         interleave=interleave,
     )
+
+
+def test_parity_beyond_bitmask_width():
+    """P=64: sharer sets involve processors past bit 62 of an int64."""
+    nest = example8(8)
+    fast, _ = assert_parity(nest, RectangularTile([2, 2, 2]), 64)
+    directory, _ = fast.machine.end_state()
+    assert any(max(sharers) >= 62 and len(sharers) > 1 for sharers, _ in directory.values())
+
+
+class TestDeferredEndState:
+    """The fast engine keeps its analytic lines' end state as compact
+    blocks until something reads per-line state."""
+
+    @staticmethod
+    def _setup():
+        nest = PROGRAMS["example8"]()
+        return nest, _half_tile(nest)
+
+    def _machines(self):
+        nest, tile = self._setup()
+        fast = simulate_nest(nest, tile, 4, engine="fast").machine
+        exact = simulate_nest(nest, tile, 4, engine="exact").machine
+        return fast, exact
+
+    def test_scalar_access_on_bulk_lines_matches_exact(self):
+        fast, exact = self._machines()
+        blocks = fast.directory._pending
+        assert blocks
+        # A read-only line several processors share, and a written line.
+        array, rows, touch, _ = next(
+            b for b in blocks if not b[3] and (b[2].sum(axis=0) > 1).any()
+        )
+        shared = tuple(rows[np.flatnonzero(touch.sum(axis=0) > 1)[0]].tolist())
+        array_m, rows_m, touch_m, _ = next(b for b in blocks if b[3])
+        owned = tuple(rows_m[0].tolist())
+        owner = int(np.flatnonzero(touch_m[:, 0])[0])
+        accesses = [
+            (0, array, shared, "write"),
+            ((owner + 1) % 4, array_m, owned, "read"),
+            (owner, array_m, owned, "write"),
+            (owner, array_m, owned, "read"),
+        ]
+        for acc in accesses:
+            assert fast.access(*acc) == exact.access(*acc)
+        assert not fast.directory._pending
+        assert exact.directory.stats.invalidations > 0
+        for p in range(4):
+            assert fast.caches[p].stats == exact.caches[p].stats
+        assert fast.directory.stats == exact.directory.stats
+        assert fast.network.messages == exact.network.messages
+        assert fast.network.hops == exact.network.hops
+        assert fast.end_state() == exact.end_state()
+
+    def test_pending_blocks_are_not_fresh(self):
+        nest, tile = self._setup()
+        machine = _machine(4)
+        simulate_nest(nest, tile, 4, engine="fast", machine=machine)
+        assert not supports_fast_path(machine)
+        assert machine.directory._pending  # the probe did not expand
+        with pytest.raises(SimulationError, match="not fresh"):
+            simulate_nest(nest, tile, 4, engine="fast", machine=machine)
+        auto = simulate_nest(nest, tile, 4, engine="auto", machine=machine)
+        assert auto.engine == "exact"
+        assert "not fresh" in auto.engine_fallback
+        # A second run on a warm machine, exact both times, as reference.
+        ref = _machine(4)
+        simulate_nest(nest, tile, 4, engine="exact", machine=ref)
+        assert auto == simulate_nest(nest, tile, 4, engine="exact", machine=ref)
+        assert machine.end_state() == ref.end_state()
+
+    def test_flush_drops_pending_blocks(self):
+        nest, tile = self._setup()
+        machine = _machine(4)
+        simulate_nest(nest, tile, 4, engine="fast", machine=machine)
+        machine.flush_caches()
+        assert not machine.directory._pending
+        assert machine.end_state() == ({}, [{}] * 4)
+        assert supports_fast_path(machine)
+
+    def test_cache_read_expands(self):
+        fast, exact = self._machines()
+        assert [len(c) for c in fast.caches] == [len(c) for c in exact.caches]
+        assert not fast.directory._pending
+
+    def test_histogram_same_before_and_after_expansion(self):
+        fast, exact = self._machines()
+        before = fast.directory.sharer_histogram()
+        assert fast.directory._pending  # counted without expanding
+        fast.directory.expand()
+        assert not fast.directory._pending
+        assert fast.directory.sharer_histogram() == before
+        assert before == exact.directory.sharer_histogram()
+        assert max(before) > 1
 
 
 @pytest.mark.slow
