@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from ..core.tiles import Tiling
 from ..obs.tracing import span
-from ..sim.executor import ProcessorStats, SimulationResult, _execute_exact
+from ..sim.executor import ProcessorStats, SimulationResult, execute_exact
 from ..sim.fast import collect_footprints
 from ..sim.machine import Machine, MachineConfig
 from ..sim.trace import assign_tiles_to_processors, reference_streams
@@ -186,11 +186,9 @@ def simulate_flow(
                 if r >= sweeps * stmt.sweeps:
                     continue
                 before = _machine_totals(machine)
-                _execute_exact(
+                execute_exact(
                     stmt_streams[stmt.name],
                     machine,
-                    processors,
-                    sweeps=1,
                     interleave=interleave,
                     check_invariants=check_invariants,
                 )

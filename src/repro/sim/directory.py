@@ -104,9 +104,17 @@ class Directory:
         self._invalidated_at: dict = {}
         self._evicted_at: dict = {}
         self._ever_filled: set = set()
+        # ``sim.directory.miss_class`` counter handles by (kind, proc),
+        # created on first use like the registry would.
+        self._miss_class: dict = {}
 
-    def _count_miss_class(self, kind: str, proc: int) -> None:
-        self.metrics.counter("sim.directory.miss_class", kind=kind, proc=proc).inc()
+    def _count_miss_class(self, kind: str, proc: int, n: int = 1) -> None:
+        c = self._miss_class.get((kind, proc))
+        if c is None:
+            c = self._miss_class[kind, proc] = self.metrics.counter(
+                "sim.directory.miss_class", kind=kind, proc=proc
+            )
+        c.inc(n)
 
     @property
     def entries(self) -> dict:

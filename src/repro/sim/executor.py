@@ -34,7 +34,7 @@ from .machine import Machine, MachineConfig
 from .memory import AddressMap
 from .trace import assign_tiles_to_processors, reference_streams
 
-__all__ = ["ProcessorStats", "SimulationResult", "simulate_nest"]
+__all__ = ["ProcessorStats", "SimulationResult", "execute_exact", "simulate_nest"]
 
 logger = get_logger("sim.executor")
 
@@ -111,36 +111,43 @@ class SimulationResult:
         return sum(p.footprint.get(array, 0) for p in active) / len(active)
 
 
-def _execute_exact(
+def execute_exact(
     streams,
     machine: Machine,
-    processors: int,
     *,
-    sweeps: int,
-    interleave: str,
-    check_invariants: bool,
+    sweeps: int = 1,
+    interleave: str = "roundrobin",
+    check_invariants: bool = False,
 ) -> None:
-    """Drive every access through the scalar MSI protocol."""
+    """Drive every access of ``streams`` through the scalar MSI protocol.
+
+    Each sweep is one :meth:`Machine.replay` of the whole access sequence
+    in the global order ``interleave`` names; counters are published at
+    the end of every sweep.
+    """
     # (array, kind, per-iteration coordinate tuples) per reference per proc.
     refs = {
         p: [(s.array, s.kind, [tuple(row) for row in s.coords.tolist()]) for s in st]
         for p, st in streams.items()
     }
     counts = {p: (int(st[0].coords.shape[0]) if st else 0) for p, st in streams.items()}
-    access = machine.access
-    for _sweep in range(sweeps):
+    procs = sorted(streams)
+
+    def events():
         if interleave == "sequential":
-            for p in range(processors):
+            for p in procs:
                 for n in range(counts[p]):
                     for array, kind, coords in refs[p]:
-                        access(p, array, coords[n], kind)
+                        yield p, array, coords[n], kind
         else:
-            longest = max(counts.values(), default=0)
-            for step in range(longest):
-                for p in range(processors):
+            for step in range(max(counts.values(), default=0)):
+                for p in procs:
                     if step < counts[p]:
                         for array, kind, coords in refs[p]:
-                            access(p, array, coords[step], kind)
+                            yield p, array, coords[step], kind
+
+    for _sweep in range(sweeps):
+        machine.replay(events())
         if check_invariants:
             machine.check()
 
@@ -223,8 +230,6 @@ def simulate_nest(
                     f"{name} argument disagrees with the given machine's "
                     f"configuration; set it on the machine instead"
                 )
-    if observer is not None:
-        machine.observer = observer
 
     with span("sim.trace", processors=processors):
         tiling = Tiling(nest.space, tile)
@@ -272,14 +277,21 @@ def simulate_nest(
                 workers=workers,
             )
         else:
-            _execute_exact(
-                streams,
-                machine,
-                processors,
-                sweeps=sweeps,
-                interleave=interleave,
-                check_invariants=check_invariants,
-            )
+            # The observer watches this run only; a reused machine must
+            # not keep calling it (or keep auto off the fast engine).
+            previous_observer = machine.observer
+            if observer is not None:
+                machine.observer = observer
+            try:
+                execute_exact(
+                    streams,
+                    machine,
+                    sweeps=sweeps,
+                    interleave=interleave,
+                    check_invariants=check_invariants,
+                )
+            finally:
+                machine.observer = previous_observer
 
     with span("sim.collect"):
         per_proc = []

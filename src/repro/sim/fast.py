@@ -29,8 +29,9 @@ construction) and an exact vectorised ownership count otherwise — then
 * resolves all analytic lines in bulk with vectorised first-touch
   accounting (optionally fanned out over a ``multiprocessing`` pool),
 * replays only the write-shared residue through the exact scalar
-  protocol, in the same global interleaved order the exact engine would
-  use,
+  protocol (:meth:`repro.sim.machine.Machine.replay`, as the exact
+  engine does), in the same global interleaved order the exact engine
+  would use,
 * records the analytic lines' end state as compact blocks
   (:meth:`repro.sim.directory.Directory.record_bulk`), expanded into
   per-line cache and directory objects only when something reads them.
@@ -233,9 +234,7 @@ def _bulk_account(machine, proc, array, n_lines, first_read, upgrade_mask,
     st.read_hits += reads_total * sweeps - first_read
     st.write_hits += writes_total * sweeps - first_write - upgrades
     if n_lines:
-        machine.directory.metrics.counter(
-            "sim.directory.miss_class", kind="cold", proc=proc
-        ).inc(n_lines)
+        machine.directory._count_miss_class("cold", proc, n_lines)
     machine.directory._sharers_at_write.observe_bulk(0, int(written.sum()))
     homes = machine.address_map.homes_vector(array, coords_lines)
     events = 1 + upgrade_mask.astype(np.int64)
@@ -398,10 +397,8 @@ def execute_fast(
         len(events),
         sum(s.coords.shape[0] for st_ in streams.values() for s in st_),
     )
-    access = machine.access
     for _sweep in range(sweeps):
-        for p, array, coords, kind in events:
-            access(p, array, coords, kind)
+        machine.replay(events)
         if check_invariants:
             machine.check()
 

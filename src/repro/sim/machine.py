@@ -103,22 +103,47 @@ class Machine:
         # Optional per-access observer ``(proc, array, coords, kind, hit)``
         # — e.g. :class:`repro.obs.export.EventTraceWriter`.
         self.observer = None
+        # Accounting not yet in the counters above (see :meth:`replay`):
+        # messages per (src, dst) pair, misses per processor.
+        self._traffic: dict[tuple[int, int], int] = {}
+        self._local_tally = [0] * self.p
+        self._remote_tally = [0] * self.p
 
     # ------------------------------------------------------------------
-    def _account_messages(self, msgs, home: int) -> None:
+    def _tally(self, msgs, proc: int, home: int) -> None:
+        """Note one serviced miss and its protocol messages for the next
+        :meth:`_publish` (plain ints: no counter lock per message)."""
+        traffic = self._traffic
         for src, dst in msgs:
             s = home if src == -1 else src
             d = home if dst == -1 else dst
             if s != d:
-                self.network.send(s, d)
-
-    def _account_miss(self, proc: int, home: int) -> None:
+                traffic[s, d] = traffic.get((s, d), 0) + 1
         if home == proc:
-            self.local_miss_count[proc] += 1
-            self.memory_cost[proc] += self.config.local_cost
+            self._local_tally[proc] += 1
         else:
-            self.remote_miss_count[proc] += 1
-            self.memory_cost[proc] += self.config.remote_cost
+            self._remote_tally[proc] += 1
+
+    def _publish(self) -> None:
+        """Move the tallies into the registry counters: one ``send_bulk``
+        per (src, dst) pair touched, one add per processor with misses."""
+        traffic = self._traffic
+        if traffic:
+            send_bulk = self.network.send_bulk
+            for (s, d), n in traffic.items():
+                send_bulk(s, d, n)
+            traffic.clear()
+        cfg = self.config
+        for tally, counts, cost in (
+            (self._local_tally, self.local_miss_count, cfg.local_cost),
+            (self._remote_tally, self.remote_miss_count, cfg.remote_cost),
+        ):
+            if any(tally):
+                for proc, n in enumerate(tally):
+                    if n:
+                        counts[proc] += n
+                        self.memory_cost[proc] += n * cost
+                        tally[proc] = 0
 
     def account_bulk_misses(self, proc: int, homes, events) -> None:
         """Vectorised miss + network accounting for the fast engine.
@@ -157,14 +182,41 @@ class Machine:
         ``kind`` ∈ {'read', 'write', 'sync'}; sync behaves as write
         (Appendix A).  When an :attr:`observer` is attached it sees every
         access (element coordinates, pre line-grouping) after servicing.
-        Deferred fast-engine lines are expanded first.
+        Deferred fast-engine lines are expanded first.  Every counter is
+        up to date when this returns.
         """
         if self.directory._pending:
             self.directory.expand()
-        hit = self._access(proc, array, coords, kind)
+        try:
+            hit = self._access(proc, array, coords, kind)
+        finally:
+            self._publish()
         if self.observer is not None:
             self.observer(proc, array, coords, kind, hit)
         return hit
+
+    def replay(self, events) -> None:
+        """Run ``(proc, array, coords, kind)`` events, each exactly as one
+        :meth:`access` — the batch entry point both engines use.
+
+        The network and miss accounting is tallied in plain ints and
+        published into the counters once, when the replay ends — also
+        when an event raises, so no tally is lost.  An attached
+        :attr:`observer` sees every event with its hit flag.
+        """
+        if self.directory._pending:
+            self.directory.expand()
+        access = self._access
+        observer = self.observer
+        try:
+            if observer is None:
+                for proc, array, coords, kind in events:
+                    access(proc, array, coords, kind)
+            else:
+                for proc, array, coords, kind in events:
+                    observer(proc, array, coords, kind, access(proc, array, coords, kind))
+        finally:
+            self._publish()
 
     def _access(self, proc: int, array: str, coords: tuple[int, ...], kind: str) -> bool:
         if not 0 <= proc < self.p:
@@ -181,10 +233,7 @@ class Machine:
             else:
                 st.write_misses += 1
             home = self.address_map.home(array, coords)
-            if home != proc:
-                self.network.send(proc, home)
-                self.network.send(home, proc)
-            self._account_miss(proc, home)
+            self._tally(((proc, -1), (-1, proc)), proc, home)
             return False
         addr = (array, coords)
         cache = self.caches[proc]
@@ -193,8 +242,7 @@ class Machine:
                 return True
             home = self.address_map.home(array, coords)
             msgs = self.directory.read(addr, proc)
-            self._account_messages(msgs, home)
-            self._account_miss(proc, home)
+            self._tally(msgs, proc, home)
             return False
         if kind in ("write", "sync"):
             outcome = cache.lookup_write(addr)
@@ -202,8 +250,7 @@ class Machine:
                 return True
             home = self.address_map.home(array, coords)
             msgs = self.directory.write(addr, proc, upgrade=(outcome == "upgrade"))
-            self._account_messages(msgs, home)
-            self._account_miss(proc, home)
+            self._tally(msgs, proc, home)
             return False
         raise SimulationError(f"unknown access kind {kind!r}")
 

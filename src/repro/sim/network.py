@@ -18,7 +18,7 @@ import numpy as np
 
 from ..obs.metrics import MetricsRegistry
 
-__all__ = ["MeshNetwork", "GraphNetwork", "best_mesh_shape"]
+__all__ = ["Network", "MeshNetwork", "GraphNetwork", "best_mesh_shape"]
 
 
 def best_mesh_shape(nodes: int) -> tuple[int, int]:
@@ -30,7 +30,42 @@ def best_mesh_shape(nodes: int) -> tuple[int, int]:
     return best
 
 
-class MeshNetwork:
+class Network:
+    """Message and hop accounting over a precomputed hop table.
+
+    Topologies differ only in ``table``, the ``P × P`` matrix of hop
+    counts between nodes; sending is the same everywhere.
+    """
+
+    def __init__(self, table: np.ndarray, *, registry: MetricsRegistry | None = None):
+        self.nodes = table.shape[0]
+        self._table = table
+        registry = registry if registry is not None else MetricsRegistry()
+        self.messages = registry.counter("sim.network.messages")
+        self.hops = registry.counter("sim.network.hops")
+
+    def distance(self, a: int, b: int) -> int:
+        return int(self._table[a, b])
+
+    def send(self, src: int, dst: int) -> int:
+        """Account one message; returns its hop count."""
+        return self.send_bulk(src, dst, 1)
+
+    def send_bulk(self, src: int, dst: int, count: int) -> int:
+        """Account ``count`` messages between one src/dst pair at once;
+        returns the hop count of one of them."""
+        d = self.distance(src, dst)
+        if count > 0:
+            self.messages += count
+            self.hops += d * count
+        return d
+
+    def reset(self) -> None:
+        self.messages.reset()
+        self.hops.reset()
+
+
+class MeshNetwork(Network):
     """2-D mesh with dimension-ordered (Manhattan) routing."""
 
     def __init__(
@@ -42,43 +77,18 @@ class MeshNetwork:
     ):
         if nodes < 1:
             raise ValueError("need at least one node")
-        self.nodes = nodes
         self.shape = shape or best_mesh_shape(nodes)
         if self.shape[0] * self.shape[1] < nodes:
             raise ValueError(f"mesh {self.shape} too small for {nodes} nodes")
-        registry = registry if registry is not None else MetricsRegistry()
-        self.messages = registry.counter("sim.network.messages")
-        self.hops = registry.counter("sim.network.hops")
+        rows, cols = np.divmod(np.arange(nodes, dtype=np.int32), self.shape[1])
+        table = np.abs(rows[:, None] - rows) + np.abs(cols[:, None] - cols)
+        super().__init__(table, registry=registry)
 
     def coords(self, node: int) -> tuple[int, int]:
         return divmod(node, self.shape[1])
 
-    def distance(self, a: int, b: int) -> int:
-        ra, ca = self.coords(a)
-        rb, cb = self.coords(b)
-        return abs(ra - rb) + abs(ca - cb)
 
-    def send(self, src: int, dst: int) -> int:
-        """Account one message; returns its hop count."""
-        d = self.distance(src, dst)
-        self.messages += 1
-        self.hops += d
-        return d
-
-    def send_bulk(self, src: int, dst: int, count: int) -> None:
-        """Account ``count`` messages between one src/dst pair at once."""
-        if count <= 0:
-            return
-        d = self.distance(src, dst)
-        self.messages += count
-        self.hops += d * count
-
-    def reset(self) -> None:
-        self.messages.reset()
-        self.hops.reset()
-
-
-class GraphNetwork:
+class GraphNetwork(Network):
     """Arbitrary topology via networkx; shortest-path hop distances."""
 
     def __init__(self, graph: nx.Graph, *, registry: MetricsRegistry | None = None):
@@ -87,36 +97,10 @@ class GraphNetwork:
         if not nx.is_connected(graph):
             raise ValueError("topology must be connected")
         self.graph = graph
-        self.nodes = graph.number_of_nodes()
-        nodes_sorted = sorted(graph.nodes())
-        self._index = {n: i for i, n in enumerate(nodes_sorted)}
-        self._names = nodes_sorted
-        # Precompute all-pairs hop distances (small machines only).
-        self._dist = np.zeros((self.nodes, self.nodes), dtype=np.int64)
+        index = {n: i for i, n in enumerate(sorted(graph.nodes()))}
+        # All-pairs hop distances (small machines only).
+        table = np.zeros((len(index), len(index)), dtype=np.int32)
         for src, lengths in nx.all_pairs_shortest_path_length(graph):
             for dst, d in lengths.items():
-                self._dist[self._index[src], self._index[dst]] = d
-        registry = registry if registry is not None else MetricsRegistry()
-        self.messages = registry.counter("sim.network.messages")
-        self.hops = registry.counter("sim.network.hops")
-
-    def distance(self, a: int, b: int) -> int:
-        return int(self._dist[a, b])
-
-    def send(self, src: int, dst: int) -> int:
-        d = self.distance(src, dst)
-        self.messages += 1
-        self.hops += d
-        return d
-
-    def send_bulk(self, src: int, dst: int, count: int) -> None:
-        """Account ``count`` messages between one src/dst pair at once."""
-        if count <= 0:
-            return
-        d = self.distance(src, dst)
-        self.messages += count
-        self.hops += d * count
-
-    def reset(self) -> None:
-        self.messages.reset()
-        self.hops.reset()
+                table[index[src], index[dst]] = d
+        super().__init__(table, registry=registry)

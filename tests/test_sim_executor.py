@@ -172,6 +172,46 @@ class TestStatsSurface:
         )
         assert r.total_misses > 0
 
+    def test_observer_detached_after_run(self, example2_nest):
+        """A reused machine must not keep the previous call's observer:
+        it would see the next run's accesses and force ``auto`` off the
+        fast engine."""
+        from repro.sim import Machine
+
+        tile = RectangularTile([50, 50])
+        machine = Machine(4)
+        seen = []
+        first = simulate_nest(
+            example2_nest, tile, 4, machine=machine,
+            observer=lambda *a: seen.append(a),
+        )
+        assert first.engine == "exact"
+        assert len(seen) == first.total_accesses
+        assert machine.observer is None
+        machine.flush_caches()
+        machine.metrics.reset()
+        second = simulate_nest(example2_nest, tile, 4, machine=machine)
+        assert second.engine == "fast"
+        assert second.engine_fallback is None
+        assert len(seen) == first.total_accesses
+        assert second == first
+
+    def test_observer_restored_when_run_raises(self, example2_nest):
+        from repro.sim import Machine
+
+        machine = Machine(4)
+        mine = machine.observer = lambda *a: None
+
+        def failing(*a):
+            raise RuntimeError("observer failed")
+
+        with pytest.raises(RuntimeError, match="observer failed"):
+            simulate_nest(
+                example2_nest, RectangularTile([50, 50]), 4,
+                machine=machine, observer=failing,
+            )
+        assert machine.observer is mine
+
 
 class TestMachineSettingConflicts:
     """A ``machine=`` fixes the machine settings; a non-default argument

@@ -1,11 +1,14 @@
 """Tests for the composed machine model and address maps."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from repro.exceptions import SimulationError
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.sim.machine import Machine, MachineConfig
 from repro.sim.memory import AddressMap, block_address_map, flat_address_map
+from repro.sim.network import GraphNetwork
 
 
 class TestAddressMap:
@@ -145,6 +148,93 @@ class TestMachine:
         m.access(0, "A", (0,), "read")
         assert m.total_accesses == 2
         assert m.total_misses == 1
+
+
+def _write_shared_events(processors: int, n: int = 1500, seed: int = 0):
+    """A seeded stream of reads, writes and syncs by every processor over
+    a small 2-D array, so lines are write-shared and coherence traffic
+    (invalidations, downgrades, remote owners) is heavy."""
+    rng = np.random.default_rng(seed)
+    kinds = ("read", "read", "write", "sync")
+    return [
+        (int(p), "B", (int(i), int(j)), kinds[int(k)])
+        for p, i, j, k in zip(
+            rng.integers(0, processors, n),
+            rng.integers(0, 6, n),
+            rng.integers(0, 6, n),
+            rng.integers(0, len(kinds), n),
+        )
+    ]
+
+
+def _snapshot(machine: Machine) -> dict:
+    """Every counter and histogram in the machine's registry."""
+    out = {}
+    for m in machine.metrics:
+        if isinstance(m, Counter):
+            out[m.name, m.labels] = m.value
+        elif isinstance(m, Histogram):
+            out[m.name, m.labels] = (dict(m.bins), m.count, m.total)
+    return out
+
+
+def _graph_machine(processors: int) -> Machine:
+    registry = MetricsRegistry()
+    return Machine(
+        MachineConfig(processors=processors),
+        registry=registry,
+        network=GraphNetwork(nx.cycle_graph(processors), registry=registry),
+    )
+
+
+_MACHINES = {
+    "mesh-p64": lambda: Machine(MachineConfig(processors=64)),
+    "graph-ring": lambda: _graph_machine(6),
+    "uncached": lambda: Machine(MachineConfig(processors=8, cache_enabled=False)),
+}
+
+
+class TestReplay:
+    """``Machine.replay`` is a loop of ``access`` with batched accounting."""
+
+    @pytest.mark.parametrize("make", list(_MACHINES.values()), ids=list(_MACHINES))
+    def test_matches_access_loop(self, make):
+        looped, replayed = make(), make()
+        events = _write_shared_events(looped.p)
+        for event in events:
+            looped.access(*event)
+        replayed.replay(events)
+        assert int(looped.network.messages) > 0
+        assert _snapshot(replayed) == _snapshot(looped)
+        assert replayed.end_state() == looped.end_state()
+        replayed.check()
+
+    def test_tallies_survive_a_failing_event(self):
+        looped, replayed = Machine(16), Machine(16)
+        events = _write_shared_events(16, n=400)
+        events.insert(300, (3, "B", (0, 0), "fetch"))
+        with pytest.raises(SimulationError, match="unknown access kind"):
+            replayed.replay(events)
+        for event in events[:300]:
+            looped.access(*event)
+        with pytest.raises(SimulationError, match="unknown access kind"):
+            looped.access(*events[300])
+        assert int(replayed.network.messages) > 0
+        assert _snapshot(replayed) == _snapshot(looped)
+        assert replayed.end_state() == looped.end_state()
+
+    def test_observer_sees_every_event(self):
+        looped, replayed = Machine(8), Machine(8)
+        seen_loop, seen_replay = [], []
+        looped.observer = lambda *a: seen_loop.append(a)
+        replayed.observer = lambda *a: seen_replay.append(a)
+        events = _write_shared_events(8, n=300)
+        hits = [looped.access(*event) for event in events]
+        replayed.replay(events)
+        assert seen_replay == seen_loop
+        assert [a[:4] for a in seen_replay] == events
+        assert [a[4] for a in seen_replay] == hits
+        assert any(hits) and not all(hits)
 
 
 class TestDeterministicHoming:
