@@ -4,8 +4,8 @@ Not a paper figure: this benchmark guards the repository's own
 performance claim — ``simulate_nest(engine='fast')`` produces the exact
 engine's numbers at a fraction of the cost by resolving provably-private
 and globally read-only lines analytically (Theorem 3's intersection
-machinery classifies them) and replaying only the shared residue through
-the scalar MSI protocol.
+machinery classifies them) and replaying each distinct write-shared line
+history once through the scalar MSI protocol.
 
 Workloads are the simulator-heavy experiments elsewhere in this suite:
 

@@ -200,12 +200,34 @@ def _inject_flow():
         yield
 
 
+@contextmanager
+def _inject_replay():
+    """Scale each multi-line write-shared history by one line too few.
+
+    The fast engine replays each distinct per-line history once and
+    scales its counters and traffic by the lines that share it; this
+    fault drops one line from every such weight (end states stay
+    right).  ``engine-parity`` must flag the mismatch against the exact
+    engine on every case with a repeated write-shared history.
+    """
+    from ..sim import fast as _fast
+
+    orig = _fast._scale
+
+    def bad(outcome, homes, processors):
+        return orig(outcome, homes[:-1] if homes.size > 1 else homes, processors)
+
+    with _patched(_fast, "_scale", bad):
+        yield
+
+
 FAULTS = {
     "spread": _inject_spread,
     "exact-count": _inject_exact_count,
     "plan": _inject_plan,
     "anneal": _inject_anneal,
     "flow": _inject_flow,
+    "replay": _inject_replay,
 }
 
 

@@ -425,8 +425,9 @@ def check_codegen(art: CaseArtifacts) -> None:
 
 
 def check_engine_parity(art: CaseArtifacts) -> None:
-    """Fast and exact engines must agree on every counter and on every
-    line's end state (directory entries and cached lines)."""
+    """Fast and exact engines must agree on every counter, on every
+    instrument of their metrics registries, and on every line's end
+    state (directory entries and cached lines)."""
     fast, exact = art.sim_fast, art.sim_exact
     if fast is None or exact is None:
         return
@@ -439,6 +440,8 @@ def check_engine_parity(art: CaseArtifacts) -> None:
             art.fail("engine-parity", f"cache stats differ on processor {p}")
     if fast.machine.directory.stats != exact.machine.directory.stats:
         art.fail("engine-parity", "directory stats differ")
+    if fast.machine.metrics.snapshot() != exact.machine.metrics.snapshot():
+        art.fail("engine-parity", "metrics registry snapshots differ")
     if (
         fast.machine.directory.sharer_histogram()
         != exact.machine.directory.sharer_histogram()

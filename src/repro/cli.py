@@ -100,8 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         metavar="N",
-        help="fan the optimizer's grid search and the fast engine's bulk "
-        "phase out over N processes",
+        help="fan the optimizer's grid search out over N processes",
     )
     p.add_argument(
         "--cache-dir",
@@ -474,7 +473,6 @@ def main(argv: list[str] | None = None, *, out=None) -> int:
                 machine=machine,
                 observer=trace_writer,
                 engine=args.engine,
-                workers=args.workers,
             )
         except ReproError as e:
             emit(f"error: {e}")

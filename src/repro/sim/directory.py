@@ -232,17 +232,23 @@ class Directory:
             self.note_eviction(victim, proc)
         self._ever_filled.add(addr)
 
-    def record_bulk(self, array: str, rows, touch, *, modified: bool) -> None:
-        """Record analytically resolved lines' end state (fast engine).
+    def record_bulk(
+        self, array: str, rows, touch, *, modified: bool, invalidated=None
+    ) -> None:
+        """Record fast-engine lines' end state.
 
         ``rows`` is an ``(N, d)`` integer array of line coordinates and
         ``touch`` a ``(P, N)`` boolean matrix: ``touch[p, i]`` marks
-        processor ``p`` as a toucher of line ``i``.  ``modified=True``
-        marks written lines, private by construction: the sole toucher
-        ends with the line in M as its owner.  Otherwise every toucher
-        ends with an S copy and the entry lists them all as sharers, no
-        owner.  Either is the state the exact protocol reaches whatever
-        the access order.  The lines must not be in the directory yet.
+        processor ``p`` as a holder of line ``i``.  ``modified=True``
+        means each line has one holder, which ends with it in M as its
+        owner.  Otherwise every holder ends with an S copy and the entry
+        lists them all as sharers, no owner.  Those are the only end
+        states the protocol leaves with unbounded caches.  The optional
+        ``(P, N)`` ``invalidated`` matrix marks processors whose copy was
+        invalidated and not fetched again, so their next miss on the
+        line classifies as a coherence miss; it is entered in the
+        miss-cause map at once.  The lines must not be in the directory
+        yet.
 
         The block stays compact until something reads per-line state
         (:meth:`expand`); event counters are the caller's job.
@@ -254,6 +260,11 @@ class Directory:
         self._pending.append((array, rows, touch, modified))
         for c in self.caches:
             c.before_read = self.expand
+        if invalidated is not None and invalidated.any():
+            lines = rows.tolist()
+            causes = self._invalidated_at
+            for p, i in np.argwhere(invalidated).tolist():
+                causes.setdefault((array, tuple(lines[i])), set()).add(p)
 
     def expand(self) -> None:
         """Turn every recorded block into cache lines, directory entries

@@ -167,7 +167,6 @@ def simulate_nest(
     cache_enabled: bool = True,
     observer=None,
     engine: str = "auto",
-    workers: int | None = None,
 ) -> SimulationResult:
     """Run ``sweeps`` executions of the nest under the given partition.
 
@@ -182,17 +181,15 @@ def simulate_nest(
     ``engine`` selects the execution strategy: ``'exact'`` drives every
     access through the scalar MSI protocol; ``'fast'`` resolves
     provably-private lines in bulk (:mod:`repro.sim.fast`) and replays
-    only the shared residue exactly — identical results, order-of-
-    magnitude faster on private-heavy programs; ``'auto'`` (default)
+    each distinct write-shared line history once through the same
+    protocol — identical results, order-of-magnitude faster;
+    ``'auto'`` (default)
     uses the fast engine whenever its preconditions hold (fresh
     infinite-cache coherent machine, no observer) and falls back to
-    exact otherwise.  ``workers`` optionally fans the fast engine's bulk
-    phase out over a process pool.
+    exact otherwise.
     """
     if engine not in ("auto", "fast", "exact"):
         raise SimulationError(f"unknown engine {engine!r}")
-    if workers is not None and workers < 1:
-        raise SimulationError(f"workers must be >= 1, got {workers}")
     if sweeps == 1 and nest.has_sequential_wrapper:
         sweeps = 1
         for l in nest.sequential_loops:
@@ -274,7 +271,6 @@ def simulate_nest(
                 sweeps=sweeps,
                 interleave=interleave,
                 check_invariants=check_invariants,
-                workers=workers,
             )
         else:
             # The observer watches this run only; a reused machine must

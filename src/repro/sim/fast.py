@@ -27,24 +27,31 @@ machinery with no nonzero solution, so every line is private by
 construction) and an exact vectorised ownership count otherwise — then
 
 * resolves all analytic lines in bulk with vectorised first-touch
-  accounting (optionally fanned out over a ``multiprocessing`` pool),
-* replays only the write-shared residue through the exact scalar
-  protocol (:meth:`repro.sim.machine.Machine.replay`, as the exact
-  engine does), in the same global interleaved order the exact engine
-  would use,
-* records the analytic lines' end state as compact blocks
+  accounting,
+* replays each distinct write-shared line *history* once: with unbounded
+  caches a line's protocol history depends only on its own ordered
+  ``(processor, kind)`` events, so the residue is grouped by line into
+  those sequences (in the global interleaved order the exact engine
+  would use), each distinct sequence runs ``sweeps`` times on one line
+  of a scratch machine through the unchanged scalar protocol
+  (:meth:`repro.sim.machine.Machine.service`), its counter deltas are
+  scaled by the lines sharing it and its messages priced through each
+  line's home node,
+* records every line's end state as compact blocks
   (:meth:`repro.sim.directory.Directory.record_bulk`), expanded into
   per-line cache and directory objects only when something reads them.
 
-Analytic accesses never touch a residue line's cache or directory state
-(and unbounded caches have no capacity coupling), so removing them from
-the replayed stream leaves the residue lines' protocol histories — and
-therefore every counter — bit-identical to the exact engine.  The
-differential-parity suite (``tests/test_sim_parity.py``) asserts exactly
-that over all of the paper's programs.
+Analytic accesses never touch a residue line's cache or directory state,
+and unbounded caches have no capacity coupling between lines, so every
+counter and every line's end state is bit-identical to the exact
+engine's.  The differential-parity suite (``tests/test_sim_parity.py``)
+asserts exactly that, metrics registry included, over all of the
+paper's programs.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +59,8 @@ from ..core.classify import partition_references
 from ..core.loopnest import LoopNest
 from ..lattice.snf import integer_kernel_basis
 from ..obs.log import get_logger
+from ..obs.metrics import Counter
+from .cache import LineState
 from .machine import Machine
 from .trace import RefStream
 
@@ -182,8 +191,7 @@ def _private_line_summary(ids, wr, order):
     Returns ``(line_ids, first_is_write, has_write)`` — the unique line
     ids (ascending), whether each line's earliest access (by ``order``)
     is write-like, and whether the line is ever written by this
-    processor.  Pure numpy on plain arrays so it can run in a
-    ``multiprocessing`` worker.
+    processor.
     """
     perm = np.lexsort((order, ids))
     sid = ids[perm]
@@ -197,33 +205,205 @@ def _private_line_summary(ids, wr, order):
     return line_ids, first_wr, writes_per_line > 0
 
 
-def _run_summaries(payloads, workers):
-    """Run :func:`_private_line_summary` over payloads, optionally in a
-    process pool.  Results keep payload order either way (determinism)."""
-    if workers and workers > 1 and len(payloads) > 1:
-        import multiprocessing as mp
-
-        try:
-            with mp.get_context().Pool(min(workers, len(payloads))) as pool:
-                return pool.starmap(_private_line_summary, payloads)
-        except (OSError, ValueError) as e:  # pragma: no cover - env-specific
-            logger.warning("multiprocessing fan-out unavailable (%s); serial", e)
-    return [_private_line_summary(*p) for p in payloads]
-
-
 # ----------------------------------------------------------------------
 # The engine
 
 
+_KINDS = ("read", "write", "sync")
+
+
+def _history_groups(line_ids, order, codes):
+    """Group write-shared lines by their access history.
+
+    ``line_ids``, ``order`` and ``codes`` describe one array's residue
+    events: the line each touches, its position in the global interleave
+    and its ``proc * 3 + kind`` code.  Returns ``(history, lines)``
+    pairs: each distinct per-line code sequence (in interleave order)
+    and the ids of the lines that follow it.  Sequences of one length
+    are uniqued as the rows of one matrix, so the work is vectorised
+    over lines.
+    """
+    perm = np.lexsort((order, line_ids))
+    lines = line_ids[perm]
+    codes = codes[perm]
+    starts = np.flatnonzero(np.r_[True, lines[1:] != lines[:-1]])
+    lengths = np.diff(np.r_[starts, lines.size])
+    groups = []
+    for length in np.unique(lengths).tolist():
+        sel = starts[lengths == length]
+        histories, inv = _unique_rows(codes[sel[:, None] + np.arange(length)])
+        members = np.argsort(inv, kind="stable")
+        bounds = np.cumsum(np.bincount(inv, minlength=len(histories)))[:-1]
+        for history, ids in zip(histories.tolist(), np.split(lines[sel[members]], bounds)):
+            groups.append((tuple(history), ids))
+    return groups
+
+
+@dataclass
+class _Outcome:
+    """One line's protocol history replayed ``sweeps`` times.
+
+    ``counters`` maps each cache/directory counter key the replay moved
+    to its delta and ``bins`` holds the ``sharers_at_write``
+    observations.  ``misses[p]`` counts the misses processor ``p`` had
+    serviced and ``traffic`` the messages by ``(src, dst)``, where index
+    ``P`` stands for the line's home node.  ``holders``, ``modified`` and
+    ``invalidated`` are the line's end state.
+    """
+
+    counters: dict
+    bins: dict
+    misses: np.ndarray
+    traffic: np.ndarray
+    holders: np.ndarray
+    modified: bool
+    invalidated: np.ndarray
+
+
+def _replay_history(
+    scratch: Machine, addr, history, sweeps: int, check_invariants: bool
+) -> _Outcome:
+    """Run one history on line ``addr`` of the ``scratch`` machine
+    through the scalar protocol, unpriced, and leave the scratch machine
+    empty again with its counters at zero."""
+    procs = scratch.p
+    misses = np.zeros(procs, dtype=np.int64)
+    # Index -1, the protocol's stand-in for the home node, lands in the
+    # extra last row and column.
+    traffic = np.zeros((procs + 1, procs + 1), dtype=np.int64)
+    events = [(code // 3, _KINDS[code % 3]) for code in history]
+    service = scratch.service
+    for _sweep in range(sweeps):
+        for proc, kind in events:
+            msgs = service(proc, addr, kind)
+            if msgs is not None:
+                misses[proc] += 1
+                for src, dst in msgs:
+                    traffic[src, dst] += 1
+    if check_invariants:
+        scratch.check()
+    states = [c.state(addr) for c in scratch.caches]
+    invalidated = np.zeros(procs, dtype=bool)
+    invalidated[list(scratch.directory._invalidated_at.get(addr, ()))] = True
+    counters = {}
+    for m in scratch.metrics:
+        if isinstance(m, Counter) and m.value:
+            counters[m.name, m.labels] = m.value
+            m.reset()
+    sharers_at_write = scratch.directory._sharers_at_write
+    bins = dict(sharers_at_write.bins)
+    sharers_at_write.reset()
+    scratch.flush_caches()
+    return _Outcome(
+        counters=counters,
+        bins=bins,
+        misses=misses,
+        traffic=traffic,
+        holders=np.array([st is not None for st in states]),
+        modified=LineState.MODIFIED in states,
+        invalidated=invalidated,
+    )
+
+
+def _scale(outcome: _Outcome, homes: np.ndarray, processors: int):
+    """Price one history for the lines that follow it.
+
+    ``homes`` holds those lines' home nodes.  Returns ``(weight,
+    traffic, local, remote)``: the number of lines, the ``(P, P)``
+    message matrix (diagonal not yet cleared) and the per-processor
+    local and remote misses.
+    """
+    weight = int(homes.size)
+    per_home = np.bincount(homes, minlength=processors)
+    t = outcome.traffic
+    traffic = (
+        weight * t[:processors, :processors]
+        + np.outer(per_home, t[processors, :processors])
+        + np.outer(t[:processors, processors], per_home)
+    )
+    local = outcome.misses * per_home
+    remote = outcome.misses * (weight - per_home)
+    return weight, traffic, local, remote
+
+
+def _replay_residue(machine: Machine, residue, sweeps: int, check_invariants: bool,
+                    traffic, local, remote):
+    """Account and record the write-shared lines, one replay per history.
+
+    With unbounded caches a line's protocol history depends only on its
+    own ordered ``(proc, kind)`` events, so lines with equal histories
+    move every counter alike and end in the same state.  Each distinct
+    history runs ``sweeps`` times on a scratch machine; its counter
+    deltas are scaled by the lines that share it and its messages priced
+    through each line's home into the ``traffic``/``local``/``remote``
+    totals.  ``residue`` holds per-array ``(array, line coordinates,
+    line ids, order, codes)`` event arrays.
+    """
+    procs = machine.p
+    scratch = Machine(machine.config)
+    outcomes: dict[tuple, _Outcome] = {}
+    counters: dict[tuple, int] = {}
+    bins: dict[int, int] = {}
+    n_lines = 0
+    for array, uniq_lines, line_ids, order, codes in residue:
+        groups = _history_groups(line_ids, order, codes)
+        lines = uniq_lines[np.concatenate([ids for _, ids in groups])]
+        n_lines += lines.shape[0]
+        homes = machine.address_map.homes_vector(array, lines)
+        per_group = []
+        start = 0
+        for history, ids in groups:
+            outcome = outcomes.get(history)
+            if outcome is None:
+                addr = (array, tuple(uniq_lines[ids[0]].tolist()))
+                outcome = outcomes[history] = _replay_history(
+                    scratch, addr, history, sweeps, check_invariants
+                )
+            per_group.append(outcome)
+            n = ids.size
+            weight, t, loc, rem = _scale(outcome, homes[start:start + n], procs)
+            start += n
+            for key, value in outcome.counters.items():
+                counters[key] = counters.get(key, 0) + value * weight
+            for value, count in outcome.bins.items():
+                bins[value] = bins.get(value, 0) + count * weight
+            traffic += t
+            local += loc
+            remote += rem
+        # Every line ends in its history's state.
+        group_of = np.repeat(np.arange(len(groups)), [ids.size for _, ids in groups])
+        holders = np.array([o.holders for o in per_group]).T[:, group_of]
+        invalidated = np.array([o.invalidated for o in per_group]).T[:, group_of]
+        modified = np.array([o.modified for o in per_group])[group_of]
+        for flag in (True, False):
+            sel = modified == flag
+            machine.directory.record_bulk(
+                array, lines[sel], holders[:, sel],
+                modified=flag, invalidated=invalidated[:, sel],
+            )
+    for (name, labels), value in counters.items():
+        machine.metrics.counter(name, **dict(labels)).inc(value)
+    for value, count in bins.items():
+        machine.directory._sharers_at_write.observe_bulk(value, count)
+    logger.debug(
+        "fast engine: %d write-shared lines replayed as %d histories",
+        n_lines,
+        len(outcomes),
+    )
+
+
 def _bulk_account(machine, proc, array, n_lines, first_read, upgrade_mask,
-                  reads_total, writes_total, written, coords_lines, sweeps):
+                  reads_total, writes_total, written, coords_lines, sweeps,
+                  traffic, local, remote):
     """Apply one processor's analytic first-touch deltas for one array.
 
     ``upgrade_mask`` marks lines whose first access is a read and that
     are later written (one S→M upgrade — a second protocol event —
     each), ``written`` the per-line has-any-write mask (one sharers-at-
     write observation each), ``coords_lines`` the ``(n_lines, d)`` line
-    coordinates in the same order.
+    coordinates in the same order.  Each event is one clean round trip
+    to the line's home — the only protocol shape a private line can
+    produce — added to the ``traffic``/``local``/``remote`` totals.
     """
     first_write = n_lines - first_read
     upgrades = int(upgrade_mask.sum())
@@ -238,7 +418,11 @@ def _bulk_account(machine, proc, array, n_lines, first_read, upgrade_mask,
     machine.directory._sharers_at_write.observe_bulk(0, int(written.sum()))
     homes = machine.address_map.homes_vector(array, coords_lines)
     events = 1 + upgrade_mask.astype(np.int64)
-    machine.account_bulk_misses(proc, homes, events)
+    per_home = np.bincount(homes, weights=events, minlength=machine.p).astype(np.int64)
+    local[proc] += per_home[proc]
+    remote[proc] += per_home.sum() - per_home[proc]
+    traffic[proc] += per_home
+    traffic[:, proc] += per_home
 
 
 def execute_fast(
@@ -249,7 +433,6 @@ def execute_fast(
     sweeps: int,
     interleave: str,
     check_invariants: bool = False,
-    workers: int | None = None,
 ) -> None:
     """Run the batched engine; mutates ``machine`` exactly as the scalar
     loop would (see module docstring for the argument why)."""
@@ -260,15 +443,23 @@ def execute_fast(
     arrays = sorted({s.array for s in ref_structure})
     analytic = _analytically_private_arrays(nest, line_size)
     directory = machine.directory
+    # Messages by (src, dst) and local/remote misses per processor, for
+    # bulk and replayed lines alike; published once at the end.
+    traffic = np.zeros((processors, processors), dtype=np.int64)
+    local = np.zeros(processors, dtype=np.int64)
+    remote = np.zeros(processors, dtype=np.int64)
+    # Global interleave position of (proc p, iteration n, reference r):
+    # round-robin runs one iteration per processor per step, sequential
+    # runs each processor's whole stream in turn.
+    n_iters = max((s.coords.shape[0] for st in streams.values() for s in st), default=0)
+    if interleave == "sequential":
+        proc_stride, iter_stride = n_iters * n_refs, n_refs
+    else:
+        proc_stride, iter_stride = n_refs, processors * n_refs
 
-    # Per-(proc, array) bulk aggregation inputs and the write-shared
-    # residue, built array by array.
-    payloads: list[tuple] = []
-    payload_meta: list[tuple] = []
+    # The write-shared residue per array, as (array, line coordinates,
+    # line ids, interleave positions, proc/kind codes).
     residue: list[tuple] = []
-    # The analytic lines' end state, as :meth:`Directory.record_bulk`
-    # blocks, recorded once the residue replay is done.
-    blocks: list[tuple] = []
 
     for array in arrays:
         ref_idx = [r for r, s in enumerate(ref_structure) if s.array == array]
@@ -282,7 +473,7 @@ def execute_fast(
             n_all = sum(counts)
             touch = np.zeros((processors, n_all), dtype=bool)
             touch[np.repeat(np.arange(processors), counts), np.arange(n_all)] = True
-            blocks.append((array, np.concatenate(per_proc), touch, wr))
+            directory.record_bulk(array, np.concatenate(per_proc), touch, modified=wr)
             for p, (coords, n) in enumerate(zip(per_proc, counts)):
                 if n == 0:
                     continue
@@ -297,6 +488,7 @@ def execute_fast(
                     written=np.full(n, wr, dtype=bool),
                     coords_lines=coords,
                     sweeps=sweeps,
+                    traffic=traffic, local=local, remote=remote,
                 )
             continue
 
@@ -324,6 +516,7 @@ def execute_fast(
                     ever_written[ids_seg] = True
         bulk = (touch.sum(axis=0) == 1) | ~ever_written
 
+        res_ids, res_order, res_codes = [], [], []
         for p in range(processors):
             ids_parts, wr_parts, order_parts = [], [], []
             for r in ref_idx:
@@ -335,25 +528,41 @@ def execute_fast(
                 if mask.any():
                     ids_parts.append(ids_seg[mask])
                     wr_parts.append(np.full(int(mask.sum()), wr_flag, dtype=bool))
-                    # Global program order of (iteration n, reference r)
-                    # within the processor: n * n_refs + r.
+                    # Program order of (iteration n, reference r) within
+                    # the processor: n * n_refs + r.
                     order_parts.append(
                         np.flatnonzero(mask).astype(np.int64) * n_refs + r
                     )
                 if not mask.all():
                     rows = np.flatnonzero(~mask)
-                    elem = streams[p][r].coords[rows]
-                    kind = ref_structure[r].kind
-                    for it, coord in zip(rows.tolist(), elem.tolist()):
-                        residue.append((it, p, r, array, tuple(coord), kind))
+                    res_ids.append(ids_seg[rows])
+                    res_order.append(rows * iter_stride + (p * proc_stride + r))
+                    code = 3 * p + _KINDS.index(ref_structure[r].kind)
+                    res_codes.append(np.full(rows.size, code, dtype=np.int64))
             if ids_parts:
                 ids_pa = np.concatenate(ids_parts)
                 wr_pa = np.concatenate(wr_parts)
-                order_pa = np.concatenate(order_parts)
-                payloads.append((ids_pa, wr_pa, order_pa))
-                payload_meta.append(
-                    (p, array, uniq_lines, int((~wr_pa).sum()), int(wr_pa.sum()))
+                line_ids, first_wr, has_write = _private_line_summary(
+                    ids_pa, wr_pa, np.concatenate(order_parts)
                 )
+                n_lines = int(line_ids.shape[0])
+                _bulk_account(
+                    machine, p, array,
+                    n_lines=n_lines,
+                    first_read=n_lines - int(first_wr.sum()),
+                    upgrade_mask=~first_wr & has_write,
+                    reads_total=int((~wr_pa).sum()),
+                    writes_total=int(wr_pa.sum()),
+                    written=has_write,
+                    coords_lines=uniq_lines[line_ids],
+                    sweeps=sweeps,
+                    traffic=traffic, local=local, remote=remote,
+                )
+        if res_ids:
+            residue.append(
+                (array, uniq_lines, np.concatenate(res_ids),
+                 np.concatenate(res_order), np.concatenate(res_codes))
+            )
 
         # Machine-wide cold fills: one per bulk line, however many
         # processors each is shared by (first fetch by *anyone*).
@@ -364,49 +573,16 @@ def execute_fast(
         # ends in S at every toucher.
         for modified in (True, False):
             sel = bulk & (ever_written == modified)
-            blocks.append((array, uniq_lines[sel], touch[:, sel], modified))
+            directory.record_bulk(array, uniq_lines[sel], touch[:, sel], modified=modified)
 
-    # ---- bulk phase: vectorised first-touch accounting ----------------
-    summaries = _run_summaries(payloads, workers)
-    for (p, array, uniq_lines, reads_total, writes_total), (
-        line_ids,
-        first_wr,
-        has_write,
-    ) in zip(payload_meta, summaries):
-        n_lines = int(line_ids.shape[0])
-        _bulk_account(
-            machine, p, array,
-            n_lines=n_lines,
-            first_read=n_lines - int(first_wr.sum()),
-            upgrade_mask=~first_wr & has_write,
-            reads_total=reads_total,
-            writes_total=writes_total,
-            written=has_write,
-            coords_lines=uniq_lines[line_ids],
-            sweeps=sweeps,
+    # ---- write-shared residue: one scalar replay per line history -----
+    if residue:
+        _replay_residue(
+            machine, residue, sweeps, check_invariants, traffic, local, remote
         )
-
-    # ---- write-shared residue: exact scalar protocol replay -----------
-    if interleave == "sequential":
-        residue.sort(key=lambda e: (e[1], e[0], e[2]))
-    else:  # roundrobin: one iteration per processor per step
-        residue.sort(key=lambda e: (e[0], e[1], e[2]))
-    events = [(p, array, coords, kind) for _, p, _, array, coords, kind in residue]
-    logger.debug(
-        "fast engine: %d residue accesses (of %d) replayed exactly",
-        len(events),
-        sum(s.coords.shape[0] for st_ in streams.values() for s in st_),
-    )
-    for _sweep in range(sweeps):
-        machine.replay(events)
-        if check_invariants:
-            machine.check()
-
-    # Residue lines are disjoint from bulk lines, so recording the bulk
-    # end state only now leaves the replay above free of expansions.
-    for array, rows, touch, modified in blocks:
-        directory.record_bulk(array, rows, touch, modified=modified)
-    if check_invariants and directory._pending:
+    np.fill_diagonal(traffic, 0)  # a node does not message itself
+    machine.account_traffic(traffic, local, remote)
+    if check_invariants:
         machine.check()
 
 

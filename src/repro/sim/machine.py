@@ -145,29 +145,18 @@ class Machine:
                         self.memory_cost[proc] += n * cost
                         tally[proc] = 0
 
-    def account_bulk_misses(self, proc: int, homes, events) -> None:
-        """Vectorised miss + network accounting for the fast engine.
-
-        ``homes[i]`` is the home node of the ``i``-th line, ``events[i]``
-        how many directory fetches that line cost (1, or 2 with an S→M
-        upgrade).  Each event prices exactly as one clean two-message
-        round trip in :meth:`access` — the only protocol shape a private
-        line can produce.
-        """
-        homes = np.asarray(homes, dtype=np.int64)
-        events = np.asarray(events, dtype=np.int64)
-        per_home = np.bincount(homes, weights=events, minlength=self.p).astype(np.int64)
-        n_local = int(per_home[proc])
-        per_home[proc] = 0
-        n_remote = int(per_home.sum())
-        if n_local:
-            self.local_miss_count[proc] += n_local
-            self.memory_cost[proc] += n_local * self.config.local_cost
-        if n_remote:
-            self.remote_miss_count[proc] += n_remote
-            self.memory_cost[proc] += n_remote * self.config.remote_cost
-            for h in np.flatnonzero(per_home).tolist():
-                self.network.send_bulk(proc, h, 2 * int(per_home[h]))
+    def account_traffic(self, traffic, local, remote) -> None:
+        """Publish whole-machine accounting (the fast engine):
+        ``traffic[s, d]`` messages from node ``s`` to ``d``, and
+        ``local[p]`` / ``remote[p]`` misses processor ``p`` had serviced
+        by its own / another node's memory."""
+        pairs = np.argwhere(traffic)
+        for (s, d), n in zip(pairs.tolist(), traffic[tuple(pairs.T)].tolist()):
+            self._traffic[s, d] = self._traffic.get((s, d), 0) + n
+        for proc in range(self.p):
+            self._local_tally[proc] += int(local[proc])
+            self._remote_tally[proc] += int(remote[proc])
+        self._publish()
 
     def line_of(self, array: str, coords: tuple[int, ...]) -> tuple[int, ...]:
         """Coherence-unit coordinates: last dimension divided by line size."""
@@ -197,7 +186,7 @@ class Machine:
 
     def replay(self, events) -> None:
         """Run ``(proc, array, coords, kind)`` events, each exactly as one
-        :meth:`access` — the batch entry point both engines use.
+        :meth:`access` — the exact engine's batch entry point.
 
         The network and miss accounting is tallied in plain ints and
         published into the counters once, when the replay ends — also
@@ -221,9 +210,24 @@ class Machine:
     def _access(self, proc: int, array: str, coords: tuple[int, ...], kind: str) -> bool:
         if not 0 <= proc < self.p:
             raise SimulationError(f"no such processor {proc}")
+        coords = self.line_of(array, coords)
+        msgs = self.service(proc, (array, coords), kind)
+        if msgs is None:
+            return True
+        self._tally(msgs, proc, self.address_map.home(array, coords))
+        return False
+
+    def service(self, proc: int, addr: tuple, kind: str):
+        """Run one access to the line ``addr = (array, line coords)``
+        through the protocol without pricing it.
+
+        Returns ``None`` on a cache hit, else the protocol messages as
+        ``(src, dst)`` pairs with the home node as ``-1`` — what
+        :meth:`_tally` prices once the home is known.  Deferred blocks
+        are not expanded here; :meth:`access` and :meth:`replay` do that.
+        """
         if kind not in ("read", "write", "sync"):
             raise SimulationError(f"unknown access kind {kind!r}")
-        coords = self.line_of(array, coords)
         if not self.config.cache_enabled:
             # Local-memory multicomputer (footnote 2): every access goes
             # to the home module; no replication, no coherence.
@@ -232,27 +236,16 @@ class Machine:
                 st.read_misses += 1
             else:
                 st.write_misses += 1
-            home = self.address_map.home(array, coords)
-            self._tally(((proc, -1), (-1, proc)), proc, home)
-            return False
-        addr = (array, coords)
+            return ((proc, -1), (-1, proc))
         cache = self.caches[proc]
         if kind == "read":
             if cache.lookup_read(addr):
-                return True
-            home = self.address_map.home(array, coords)
-            msgs = self.directory.read(addr, proc)
-            self._tally(msgs, proc, home)
-            return False
-        if kind in ("write", "sync"):
-            outcome = cache.lookup_write(addr)
-            if outcome == "hit":
-                return True
-            home = self.address_map.home(array, coords)
-            msgs = self.directory.write(addr, proc, upgrade=(outcome == "upgrade"))
-            self._tally(msgs, proc, home)
-            return False
-        raise SimulationError(f"unknown access kind {kind!r}")
+                return None
+            return self.directory.read(addr, proc)
+        outcome = cache.lookup_write(addr)
+        if outcome == "hit":
+            return None
+        return self.directory.write(addr, proc, upgrade=(outcome == "upgrade"))
 
     # ------------------------------------------------------------------
     @property

@@ -138,6 +138,18 @@ class TestFaultInjection:
         )
         assert report["failed"] >= 1
 
+    def test_replay_fault_caught(self):
+        """Short-weighting the fast engine's repeated write-shared line
+        histories must trip engine parity."""
+        report = run_check(
+            cases=2,
+            seed=0,
+            fault="replay",
+            config=CheckConfig(shrink_budget=40),
+        )
+        assert report["failed"] >= 1
+        assert report["failures"][0]["invariant"] == "engine-parity"
+
     def test_unknown_fault_rejected(self):
         with pytest.raises(ValueError, match="unknown fault"):
             with inject_fault("nope"):

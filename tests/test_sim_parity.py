@@ -1,12 +1,13 @@
 """Differential parity: the fast engine must match the exact engine.
 
 The fast engine (:mod:`repro.sim.fast`) resolves provably-private and
-globally read-only cache lines analytically and replays only the shared
-residue through the scalar MSI protocol.  Its contract is *bit-identical
-results*: every counter a :class:`SimulationResult` carries, every
-per-cache stat, the coherence stats, and the directory's end state
-(every directory entry and cached line, the sharer histogram, and the
-protocol invariants) must equal the exact engine's.
+globally read-only cache lines analytically and replays each distinct
+write-shared line history once through the scalar MSI protocol.  Its
+contract is *bit-identical results*: every counter a
+:class:`SimulationResult` carries, every per-cache stat, the coherence
+stats, the whole metrics registry, and the directory's end state (every
+directory entry and cached line, the sharer histogram, and the protocol
+invariants) must equal the exact engine's.
 
 The unmarked tests are a quick smoke over representative programs; the
 exhaustive sweep over every paper program × interleave × line size ×
@@ -16,6 +17,7 @@ filter).
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -31,8 +33,10 @@ from benchmarks.paper_programs import (
 )
 from repro.core.tiles import RectangularTile
 from repro.exceptions import SimulationError
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import Machine, MachineConfig, simulate_nest, supports_fast_path
-from repro.sim.memory import AddressMap
+from repro.sim.memory import AddressMap, block_address_map
+from repro.sim.network import GraphNetwork
 
 # Small instances of every paper program (keyed by name for test IDs).
 PROGRAMS = {
@@ -56,31 +60,39 @@ def _half_tile(nest) -> RectangularTile:
 
 
 def _machine(processors: int, **cfg) -> Machine:
+    """A fresh machine; ``network`` is a ``registry -> Network`` factory
+    so the network publishes into the machine's own registry."""
     address_map = cfg.pop("address_map", None)
+    network = cfg.pop("network", None)
+    registry = MetricsRegistry()
     return Machine(
-        MachineConfig(processors=processors, **cfg), address_map=address_map
+        MachineConfig(processors=processors, **cfg),
+        address_map=address_map,
+        network=network(registry) if network else None,
+        registry=registry,
     )
 
 
-def assert_parity(nest, tile, processors, *, line_size=1, address_map=None, **kwargs):
+def assert_parity(
+    nest, tile, processors, *, line_size=1, address_map=None, network=None, **kwargs
+):
     """Run both engines on fresh machines and compare everything."""
-    exact = simulate_nest(
-        nest,
-        tile,
-        processors,
-        engine="exact",
-        machine=_machine(processors, line_size=line_size, address_map=address_map),
-        check_invariants=True,
-        **kwargs,
-    )
-    fast = simulate_nest(
-        nest,
-        tile,
-        processors,
-        engine="fast",
-        machine=_machine(processors, line_size=line_size, address_map=address_map),
-        check_invariants=True,
-        **kwargs,
+    exact, fast = (
+        simulate_nest(
+            nest,
+            tile,
+            processors,
+            engine=engine,
+            machine=_machine(
+                processors,
+                line_size=line_size,
+                address_map=address_map,
+                network=network,
+            ),
+            check_invariants=True,
+            **kwargs,
+        )
+        for engine in ("exact", "fast")
     )
     assert fast == exact  # all counters incl. per-processor stats
     for p in range(processors):
@@ -98,6 +110,9 @@ def assert_parity(nest, tile, processors, *, line_size=1, address_map=None, **kw
     # owner, every cache's line → state map (expands the fast engine's
     # deferred blocks).
     assert fast.machine.end_state() == exact.machine.end_state()
+    # Every instrument either engine published: per-processor miss
+    # classes, local/remote misses, memory cost, network traffic.
+    assert fast.machine.metrics.snapshot() == exact.machine.metrics.snapshot()
     fast.machine.check()
     return fast, exact
 
@@ -319,15 +334,6 @@ class TestFastEngineErrors:
             simulate_nest(nest, _half_tile(nest), 4, engine="warp")
 
 
-def test_workers_fan_out_matches_serial():
-    """The multiprocessing bulk phase must not change any counter."""
-    nest = PROGRAMS["example8"]()
-    tile = _half_tile(nest)
-    serial = simulate_nest(nest, tile, 4, engine="fast")
-    fanned = simulate_nest(nest, tile, 4, engine="fast", workers=2)
-    assert fanned == serial
-
-
 def test_fast_supports_empty_processors():
     """More processors than tiles: some streams are empty."""
     nest = PROGRAMS["example3"]()
@@ -404,16 +410,65 @@ class TestEngineObservability:
         assert fast == exact
 
 
-class TestWorkersValidation:
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_rejects_nonpositive_workers(self, workers):
-        nest = PROGRAMS["example8"]()
-        with pytest.raises(SimulationError, match="workers must be >= 1"):
-            simulate_nest(nest, _half_tile(nest), 4, workers=workers)
+class TestHistoryReplayedLines:
+    """Write-shared lines are accounted once per distinct line history;
+    their recorded end state must carry on exactly as the exact engine's
+    machine does."""
 
-    def test_workers_one_allowed(self):
-        nest = PROGRAMS["example8"]()
+    @staticmethod
+    def _machines():
+        nest = PROGRAMS["figure9"]()
         tile = _half_tile(nest)
-        assert simulate_nest(nest, tile, 4, workers=1) == simulate_nest(
-            nest, tile, 4
+        fast = simulate_nest(nest, tile, 4, engine="fast").machine
+        exact = simulate_nest(nest, tile, 4, engine="exact").machine
+        return fast, exact
+
+    def test_scalar_access_after_invalidation_matches_exact(self):
+        fast, exact = self._machines()
+        invalidated = {
+            addr: procs for addr, procs in fast.directory._invalidated_at.items() if procs
+        }
+        assert invalidated
+        addr, procs = min(invalidated.items())
+        array, line = addr
+        reader = min(procs)
+        writer = (reader + 1) % 4
+        coherence = int(fast.directory.stats.coherence_misses)
+        # A coherence miss (the reader's copy was invalidated), then a
+        # write that takes the copies down again.
+        for acc in [(reader, array, line, "read"), (writer, array, line, "write")]:
+            assert fast.access(*acc) == exact.access(*acc)
+        assert fast.directory.stats.coherence_misses == coherence + 1
+        for p in range(4):
+            assert fast.caches[p].stats == exact.caches[p].stats
+        assert fast.directory.stats == exact.directory.stats
+        assert fast.metrics.by_label(
+            "sim.directory.miss_class", "kind"
+        ) == exact.metrics.by_label("sim.directory.miss_class", "kind")
+        assert fast.metrics.snapshot() == exact.metrics.snapshot()
+        assert fast.end_state() == exact.end_state()
+
+    def test_block_homes_on_a_ring(self):
+        """Per-home pricing of the replayed histories: blocked homes make
+        both local and remote misses, a ring network re-prices hops."""
+        nest = PROGRAMS["figure9"]()
+        homes = block_address_map(
+            4, {"B": ((0, -1, -2), (4, 5, 10), np.arange(4).reshape(2, 2, 1))}
         )
+        fast, _ = assert_parity(
+            nest,
+            _half_tile(nest),
+            4,
+            address_map=homes,
+            network=lambda registry: GraphNetwork(
+                nx.cycle_graph(4), registry=registry
+            ),
+        )
+        assert fast.coherence_misses > 0
+        assert sum(p.local_misses for p in fast.processors) > 0
+        assert sum(p.remote_misses for p in fast.processors) > 0
+
+    def test_sequential_interleave(self):
+        nest = PROGRAMS["figure9"]()
+        fast, _ = assert_parity(nest, _half_tile(nest), 4, interleave="sequential")
+        assert fast.coherence_misses > 0
