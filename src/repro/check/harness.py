@@ -221,6 +221,29 @@ def _inject_replay():
         yield
 
 
+@contextmanager
+def _inject_footprint():
+    """Count every touched line as shared in the fast engine's footprints.
+
+    At unit line size the fast engine reads each array's shared-element
+    count off its touch matrix; this fault counts the lines touched by
+    one processor or more instead of more than one (the engine's own
+    bulk/residue split is untouched).  ``footprints-exact`` and
+    ``engine-parity`` must flag it on every case the fast engine
+    simulates at ``line_size == 1`` with a non-private array.
+    """
+    from ..sim import fast as _fast
+
+    orig = _fast._touch_footprints
+
+    def bad(touch, touchers):
+        per_proc, _ = orig(touch, touchers)
+        return per_proc, int((touchers >= 1).sum())
+
+    with _patched(_fast, "_touch_footprints", bad):
+        yield
+
+
 FAULTS = {
     "spread": _inject_spread,
     "exact-count": _inject_exact_count,
@@ -228,6 +251,7 @@ FAULTS = {
     "anneal": _inject_anneal,
     "flow": _inject_flow,
     "replay": _inject_replay,
+    "footprint": _inject_footprint,
 }
 
 

@@ -115,17 +115,19 @@ def _line_key(array: str, coords: tuple, line_size: int) -> tuple:
 
 
 def stream_measurements(streams: dict, line_size: int) -> dict:
-    """Distinct lines/elements, write-sharing, and predicted upgrades.
+    """Distinct lines/elements, footprints, write-sharing, and predicted
+    upgrades.
 
     Walks each processor's accesses in issue order (iteration-major,
     streams in list order within an iteration), so the first access kind
     per line is known: a line whose first access is a read and that the
     same processor later writes costs exactly one S→M upgrade when nobody
-    else writes it.
+    else writes it.  Footprints and sharing are counted per element, as
+    :class:`repro.sim.ProcessorStats` reports them.
     """
     lines_per_proc: dict[int, set] = {}
     upgrades_per_proc: dict[int, int] = {}
-    elements_per_array: dict[str, set] = {}
+    element_touchers: dict[tuple, set] = {}
     line_touchers: dict[tuple, set] = {}
     line_written: set = set()
     for p, st in streams.items():
@@ -142,7 +144,7 @@ def stream_measurements(streams: dict, line_size: int) -> dict:
                 key = _line_key(array, coords, line_size)
                 if key not in first_kind:
                     first_kind[key] = write_like
-                elements_per_array.setdefault(array, set()).add((array, coords))
+                element_touchers.setdefault((array, coords), set()).add(p)
                 line_touchers.setdefault(key, set()).add(p)
                 if write_like:
                     written.add(key)
@@ -156,11 +158,21 @@ def stream_measurements(streams: dict, line_size: int) -> dict:
         for key, procs in line_touchers.items()
         if len(procs) > 1 and key in line_written
     }
+    elements_per_array: dict[str, int] = {}
+    shared_elements: dict[str, int] = {}
+    footprints: dict[int, dict[str, int]] = {p: {} for p in streams}
+    for (array, _), procs in element_touchers.items():
+        elements_per_array[array] = elements_per_array.get(array, 0) + 1
+        shared_elements[array] = shared_elements.get(array, 0) + (len(procs) > 1)
+        for p in procs:
+            footprints[p][array] = footprints[p].get(array, 0) + 1
     return {
         "lines_per_proc": {p: len(v) for p, v in lines_per_proc.items()},
         "upgrades_per_proc": upgrades_per_proc,
         "distinct_lines": len(line_touchers),
-        "elements_per_array": {a: len(v) for a, v in elements_per_array.items()},
+        "elements_per_array": elements_per_array,
+        "footprints": footprints,
+        "shared_elements": shared_elements,
         "write_shared_lines": len(write_shared),
     }
 
@@ -519,6 +531,27 @@ def check_simulation_model(art: CaseArtifacts, *, ratio_eps: float = 1e-9) -> No
                 "no-sharing-no-coherence",
                 f"coherence misses {sim.coherence_misses} / invalidations "
                 f"{sim.invalidations} without write-shared lines",
+            )
+
+    # Both engines' footprints and sharing vs the scalar walk's counts.
+    for result in (art.sim_exact, art.sim_fast):
+        if result is None:
+            continue
+        art.tally.hit("footprints-exact")
+        for p in result.processors:
+            want = meas["footprints"].get(p.processor, {})
+            if p.footprint != want:
+                art.fail(
+                    "footprints-exact",
+                    f"{result.engine} engine, proc {p.processor}: footprint "
+                    f"{p.footprint} != distinct elements walked {want}",
+                )
+        if result.shared_elements != meas["shared_elements"]:
+            art.fail(
+                "footprints-exact",
+                f"{result.engine} engine: shared elements "
+                f"{result.shared_elements} != elements walked by more than "
+                f"one processor {meas['shared_elements']}",
             )
 
     # Analytic per-tile footprints vs measured per-processor footprints.

@@ -228,14 +228,6 @@ def simulate_nest(
                     f"configuration; set it on the machine instead"
                 )
 
-    with span("sim.trace", processors=processors):
-        tiling = Tiling(nest.space, tile)
-        blocks = assign_tiles_to_processors(tiling, processors)
-        streams = {p: reference_streams(nest, its) for p, its in blocks.items()}
-
-        # Footprints and sharing measured from the streams themselves.
-        footprints, shared = collect_footprints(streams, processors)
-
     blockers = fast_path_blockers(machine, observer)
     if engine == "fast" and blockers:
         raise SimulationError(
@@ -254,6 +246,17 @@ def simulate_nest(
         for reason in blockers:
             machine.metrics.counter("sim.engine.fallback", reason=reason).inc()
 
+    with span("sim.trace", processors=processors):
+        tiling = Tiling(nest.space, tile)
+        blocks = assign_tiles_to_processors(tiling, processors)
+        streams = {p: reference_streams(nest, its) for p, its in blocks.items()}
+
+        # Footprints and sharing measured from the streams themselves;
+        # the fast engine reads them off its own line index when a line
+        # is an element.
+        if not use_fast or machine.config.line_size > 1:
+            footprints, shared = collect_footprints(streams, processors)
+
     logger.debug(
         "simulating %d iterations on P=%d (%d sweeps, %s interleave, %s engine)",
         sum(b.shape[0] for b in blocks.values()),
@@ -264,7 +267,7 @@ def simulate_nest(
     )
     with span("sim.execute", sweeps=sweeps, interleave=interleave):
         if use_fast:
-            execute_fast(
+            measured = execute_fast(
                 nest,
                 streams,
                 machine,
@@ -272,6 +275,8 @@ def simulate_nest(
                 interleave=interleave,
                 check_invariants=check_invariants,
             )
+            if measured is not None:
+                footprints, shared = measured
         else:
             # The observer watches this run only; a reused machine must
             # not keep calling it (or keep auto off the fast engine).

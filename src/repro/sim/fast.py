@@ -24,7 +24,13 @@ vs *write-shared* — with an analytic shortcut from the lattice layer (a
 single-reference class whose ``G`` has trivial integer kernel maps
 iterations to elements injectively, Lemma 1 / the Theorem 3 intersection
 machinery with no nonzero solution, so every line is private by
-construction) and an exact vectorised ownership count otherwise — then
+construction) and an exact vectorised ownership count otherwise.  That
+count comes from one index per array (:func:`_line_index`): its lines
+uniqued once, through a dense bounding-box table when the box is small,
+and a processor × line touch matrix.  At ``line_size == 1`` a line is an
+element, so the same matrix gives every processor's footprint and the
+shared elements; the engine returns them and :func:`collect_footprints`
+runs only for the exact engine and wider lines.  Then the engine
 
 * resolves all analytic lines in bulk with vectorised first-touch
   accounting,
@@ -128,33 +134,73 @@ def _line_coords(coords: np.ndarray, line_size: int) -> np.ndarray:
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(rows, axis=0, return_inverse=True)``, but fast.
 
-    Encodes each row as one integer key (row-major position inside the
-    data's bounding box) and uniques the 1-D keys — several times faster
-    than the void-dtype lexicographic sort ``axis=0`` performs.  Falls
-    back to ``axis=0`` when the bounding box is too large to index in 62
-    bits (never the case for the paper's programs).
+    Encodes each row as one integer key, its row-major position inside
+    the data's bounding box, so ascending keys are the lexicographic row
+    order.  When the box is small next to the row count the keys index a
+    dense ``bool`` array (no sort at all: the distinct keys are its set
+    positions and each key's rank is a running count); otherwise the
+    1-D keys are sorted, still several times faster than the void-dtype
+    lexicographic sort ``axis=0`` performs.  Falls back to ``axis=0``
+    when the box is too large to index in 62 bits (never the case for
+    the paper's programs).
     """
     n, d = rows.shape
     if n == 0:
         return rows, np.empty(0, dtype=np.int64)
-    if d == 1:
-        uniq, inv = np.unique(rows[:, 0], return_inverse=True)
-        return uniq.reshape(-1, 1), inv.reshape(-1)
-    lo = rows.min(axis=0)
-    spans = rows.max(axis=0) - lo + 1
+    # 1-D column views: reducing a C-ordered (n, d) array along axis 0 is
+    # several times slower than reducing each strided column.
+    cols = [rows[:, k] for k in range(d)]
+    lo = [int(c.min()) for c in cols]
+    spans = [int(c.max()) - low + 1 for c, low in zip(cols, lo)]
     box = 1
-    for s in spans.tolist():
-        box *= int(s)
-    if box < 2**62:
-        strides = np.empty(d, dtype=np.int64)
-        strides[-1] = 1
-        for k in range(d - 2, -1, -1):
-            strides[k] = strides[k + 1] * int(spans[k + 1])
-        keys = (rows - lo) @ strides
-        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-        return rows[first], inv.reshape(-1)
-    uniq, inv = np.unique(rows, axis=0, return_inverse=True)
+    for s in spans:
+        box *= s
+    if box >= 2**62:
+        uniq, inv = np.unique(rows, axis=0, return_inverse=True)
+        return uniq, inv.reshape(-1)
+    keys = np.subtract(cols[0], lo[0], dtype=np.int64)
+    for col, low, span in zip(cols[1:], lo[1:], spans[1:]):
+        keys *= span
+        keys += col
+        keys -= low
+    if box <= 4 * n + 1024:
+        seen = np.zeros(box, dtype=bool)
+        seen[keys] = True
+        ukeys = np.flatnonzero(seen)
+        rank = np.cumsum(seen, dtype=np.int64)
+        rank -= 1
+        inv = rank[keys]
+    else:
+        ukeys, inv = np.unique(keys, return_inverse=True)
+    # Decode the distinct keys back into rows.
+    uniq = np.empty((ukeys.size, d), dtype=rows.dtype)
+    for k in range(d - 1, 0, -1):
+        ukeys, uniq[:, k] = np.divmod(ukeys, spans[k])
+        uniq[:, k] += lo[k]
+    uniq[:, 0] = ukeys + lo[0]
     return uniq, inv.reshape(-1)
+
+
+def _line_index(parts, processors: int):
+    """Index the lines of one array once.
+
+    ``parts`` holds ``(proc, line-coordinate rows)`` pairs.  Returns
+    ``(lines, ids, touch)``: the distinct rows in ascending row-major
+    order, each part's row → line ids, and the ``(processors, lines)``
+    matrix of which processor touches which line.
+    """
+    lines, inv = _unique_rows(np.vstack([rows for _, rows in parts]))
+    ids = np.split(inv, np.cumsum([rows.shape[0] for _, rows in parts])[:-1])
+    touch = np.zeros((processors, lines.shape[0]), dtype=bool)
+    for (p, _), seg in zip(parts, ids):
+        touch[p, seg] = True
+    return lines, ids, touch
+
+
+def _touch_footprints(touch: np.ndarray, touchers: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per-processor line counts and the lines more than one processor
+    touches, from one array's touch matrix and its column sums."""
+    return touch.sum(axis=1), int((touchers > 1).sum())
 
 
 def _analytically_private_arrays(nest: LoopNest, line_size: int) -> set[str]:
@@ -433,9 +479,14 @@ def execute_fast(
     sweeps: int,
     interleave: str,
     check_invariants: bool = False,
-) -> None:
+) -> tuple[list[dict[str, int]], dict[str, int]] | None:
     """Run the batched engine; mutates ``machine`` exactly as the scalar
-    loop would (see module docstring for the argument why)."""
+    loop would (see module docstring for the argument why).
+
+    At ``line_size == 1`` a line is an element, so the touch matrices the
+    engine builds are the element footprints: it returns ``(footprints,
+    shared)`` as :func:`collect_footprints` would.  Otherwise ``None``.
+    """
     processors = machine.p
     line_size = machine.config.line_size
     ref_structure = streams[0]
@@ -460,6 +511,8 @@ def execute_fast(
     # The write-shared residue per array, as (array, line coordinates,
     # line ids, interleave positions, proc/kind codes).
     residue: list[tuple] = []
+    footprints: list[dict[str, int]] = [dict() for _ in range(processors)]
+    shared: dict[str, int] = {}
 
     for array in arrays:
         ref_idx = [r for r, s in enumerate(ref_structure) if s.array == array]
@@ -474,9 +527,12 @@ def execute_fast(
             touch = np.zeros((processors, n_all), dtype=bool)
             touch[np.repeat(np.arange(processors), counts), np.arange(n_all)] = True
             directory.record_bulk(array, np.concatenate(per_proc), touch, modified=wr)
+            if n_all:
+                shared[array] = 0
             for p, (coords, n) in enumerate(zip(per_proc, counts)):
                 if n == 0:
                     continue
+                footprints[p][array] = n
                 directory.stats.cold_fills += n
                 _bulk_account(
                     machine, p, array,
@@ -493,28 +549,25 @@ def execute_fast(
             continue
 
         # Global line ids for this array across all processors.
-        segments = []  # (proc, r, line-coord rows)
-        for p in range(processors):
-            for r in ref_idx:
-                segments.append((p, r, _line_coords(streams[p][r].coords, line_size)))
-        all_lines = np.vstack([seg[2] for seg in segments])
-        if all_lines.shape[0] == 0:
+        keys = [(p, r) for p in range(processors) for r in ref_idx]
+        parts = [(p, _line_coords(streams[p][r].coords, line_size)) for p, r in keys]
+        if not any(rows.shape[0] for _, rows in parts):
             continue
-        uniq_lines, inv = _unique_rows(all_lines)
-        # Split the inverse mapping back into per-(proc, ref) id segments.
-        splits = np.cumsum([seg[2].shape[0] for seg in segments])[:-1]
-        seg_ids = dict(zip([(p, r) for p, r, _ in segments], np.split(inv, splits)))
+        uniq_lines, ids, touch = _line_index(parts, processors)
+        seg_ids = dict(zip(keys, ids))
+        touchers = touch.sum(axis=0)
+        if line_size == 1:
+            per_proc, shared[array] = _touch_footprints(touch, touchers)
+            for p in np.flatnonzero(per_proc).tolist():
+                footprints[p][array] = int(per_proc[p])
 
         # A line is analytically resolvable when touched by a single
         # processor (any mix of reads/writes) or by nobody's writes.
-        touch = np.zeros((processors, uniq_lines.shape[0]), dtype=bool)
         ever_written = np.zeros(uniq_lines.shape[0], dtype=bool)
         for (p, r), ids_seg in seg_ids.items():
-            if ids_seg.size:
-                touch[p, ids_seg] = True
-                if ref_structure[r].is_write_like:
-                    ever_written[ids_seg] = True
-        bulk = (touch.sum(axis=0) == 1) | ~ever_written
+            if ref_structure[r].is_write_like:
+                ever_written[ids_seg] = True
+        bulk = (touchers == 1) | ~ever_written
 
         res_ids, res_order, res_codes = [], [], []
         for p in range(processors):
@@ -584,10 +637,12 @@ def execute_fast(
     machine.account_traffic(traffic, local, remote)
     if check_invariants:
         machine.check()
+    return (footprints, shared) if line_size == 1 else None
 
 
 # ----------------------------------------------------------------------
-# Vectorised footprint / sharing measurement (both engines)
+# Footprint / sharing measurement (exact engine, and lines wider than an
+# element)
 
 
 def collect_footprints(
@@ -595,38 +650,30 @@ def collect_footprints(
 ) -> tuple[list[dict[str, int]], dict[str, int]]:
     """Per-processor element footprints and cross-processor sharing.
 
-    Replaces the exact engine's per-event ``set`` accumulation with
-    vectorised row uniquing over the batched coordinate arrays;
-    identical counts (element granularity, like the spread-dilation
-    terms it validates).  Returns ``(footprints, shared)`` with
-    ``footprints[p][array]`` the number of distinct elements ``p``
-    touches and ``shared[array]`` the number of elements touched by more
-    than one processor.
+    Replaces the exact engine's per-event ``set`` accumulation with one
+    vectorised line index per array at element granularity (like the
+    spread-dilation terms it validates).  :func:`execute_fast` derives
+    the same numbers from its own index when a line is an element, so
+    this runs for the exact engine and for ``line_size > 1``.  Returns
+    ``(footprints, shared)`` with ``footprints[p][array]`` the number of
+    distinct elements ``p`` touches and ``shared[array]`` the number of
+    elements touched by more than one processor.
     """
     footprints: list[dict[str, int]] = [dict() for _ in range(processors)]
     shared: dict[str, int] = {}
     arrays = sorted({s.array for st in streams.values() for s in st})
     for array in arrays:
-        # One unique pass over (proc, coords) rows gives every processor's
-        # distinct-element count; a second over the deduped coords alone
-        # gives the multiply-touched elements.
-        stacks = []
-        for p in range(processors):
-            parts = [
-                s.coords for s in streams[p] if s.array == array and s.coords.size
-            ]
-            if parts:
-                c = np.vstack(parts)
-                stacks.append(
-                    np.column_stack([np.full(c.shape[0], p, dtype=np.int64), c])
-                )
-        if not stacks:
+        parts = [
+            (p, s.coords)
+            for p in range(processors)
+            for s in streams[p]
+            if s.array == array and s.coords.size
+        ]
+        if not parts:
             continue
-        tagged, _ = _unique_rows(np.vstack(stacks))
-        per_proc = np.bincount(tagged[:, 0], minlength=processors)
-        for p in range(processors):
-            if per_proc[p]:
-                footprints[p][array] = int(per_proc[p])
-        _, inv = _unique_rows(tagged[:, 1:])
-        shared[array] = int((np.bincount(inv) > 1).sum())
+        _, _, touch = _line_index(parts, processors)
+        per_proc = touch.sum(axis=1)
+        for p in np.flatnonzero(per_proc).tolist():
+            footprints[p][array] = int(per_proc[p])
+        shared[array] = int((touch.sum(axis=0) > 1).sum())
     return footprints, shared

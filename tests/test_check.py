@@ -87,6 +87,8 @@ class TestRunCheck:
             "fills-ge-distinct-lines",
         ):
             assert evals.get(name, 0) > 0, name
+        # Both engines' footprints are graded on every case.
+        assert evals["footprints-exact"] == 2 * report["cases"]
 
     def test_corpus_replay_green(self):
         """Tier-1 regression: every pinned corpus case keeps passing."""
@@ -149,6 +151,22 @@ class TestFaultInjection:
         )
         assert report["failed"] >= 1
         assert report["failures"][0]["invariant"] == "engine-parity"
+
+    def test_footprint_fault_caught(self):
+        """Over-counting the fast engine's shared elements must trip the
+        scalar-walk footprint oracle, not only engine parity.  Case 2 is
+        the first seed-0 case the fast engine measures at unit line size
+        with shared elements."""
+        report = run_check(
+            cases=3,
+            seed=0,
+            fault="footprint",
+            config=CheckConfig(shrink_budget=10),
+        )
+        assert 2 in {f["case_id"] for f in report["failures"]}
+        for failure in report["failures"]:
+            invariants = {v["invariant"] for v in failure["all_violations"]}
+            assert {"engine-parity", "footprints-exact"} <= invariants
 
     def test_unknown_fault_rejected(self):
         with pytest.raises(ValueError, match="unknown fault"):

@@ -31,12 +31,15 @@ from benchmarks.paper_programs import (
     figure9,
     matmul_sync,
 )
-from repro.core.tiles import RectangularTile
+import repro.sim.executor as executor
+from repro.core.tiles import RectangularTile, Tiling
 from repro.exceptions import SimulationError
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Machine, MachineConfig, simulate_nest, supports_fast_path
+from repro.sim.fast import collect_footprints, execute_fast
 from repro.sim.memory import AddressMap, block_address_map
 from repro.sim.network import GraphNetwork
+from repro.sim.trace import assign_tiles_to_processors, reference_streams
 
 # Small instances of every paper program (keyed by name for test IDs).
 PROGRAMS = {
@@ -151,6 +154,56 @@ def test_parity_beyond_bitmask_width():
     fast, _ = assert_parity(nest, RectangularTile([2, 2, 2]), 64)
     directory, _ = fast.machine.end_state()
     assert any(max(sharers) >= 62 and len(sharers) > 1 for sharers, _ in directory.values())
+
+
+class TestFootprintRouting:
+    """At unit line size the fast engine reads footprints and sharing off
+    its own line index; ``collect_footprints`` measures them otherwise."""
+
+    @staticmethod
+    def _streams(nest, processors=4):
+        tiling = Tiling(nest.space, _half_tile(nest))
+        blocks = assign_tiles_to_processors(tiling, processors)
+        return {p: reference_streams(nest, its) for p, its in blocks.items()}
+
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_engine_footprints_equal_collected(self, name):
+        nest = PROGRAMS[name]()
+        streams = self._streams(nest)
+        measured = execute_fast(
+            nest, streams, _machine(4), sweeps=1, interleave="roundrobin"
+        )
+        assert measured == collect_footprints(streams, 4)
+
+    def test_wide_lines_return_nothing(self):
+        nest = PROGRAMS["example8"]()
+        measured = execute_fast(
+            nest, self._streams(nest), _machine(4, line_size=2),
+            sweeps=1, interleave="roundrobin",
+        )
+        assert measured is None
+
+    @pytest.mark.parametrize(
+        "engine, line_size, calls",
+        [("fast", 1, 0), ("fast", 2, 1), ("exact", 1, 1), ("exact", 2, 1)],
+    )
+    def test_collect_footprints_called_only_when_needed(
+        self, monkeypatch, engine, line_size, calls
+    ):
+        seen = []
+
+        def spy(streams, processors):
+            seen.append(processors)
+            return collect_footprints(streams, processors)
+
+        monkeypatch.setattr(executor, "collect_footprints", spy)
+        nest = PROGRAMS["figure9"]()
+        result = simulate_nest(
+            nest, _half_tile(nest), 4, engine=engine,
+            machine=_machine(4, line_size=line_size),
+        )
+        assert len(seen) == calls
+        assert result.shared_elements["B"] > 0
 
 
 class TestDeferredEndState:
